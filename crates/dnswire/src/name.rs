@@ -66,23 +66,15 @@ impl DnsName {
         if s.is_empty() {
             return Ok(DnsName::root());
         }
-        let mut labels = Vec::new();
-        for label in s.split('.') {
-            if label.is_empty() {
-                return Err(NameError::EmptyLabel);
-            }
-            if label.len() > MAX_LABEL_LEN {
-                return Err(NameError::LabelTooLong(label.to_string()));
-            }
-            for c in label.chars() {
-                // Hostname-safe plus underscore (seen in real zones) and '*'
-                // (wildcard owner names).
-                if !(c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '*') {
-                    return Err(NameError::BadCharacter(c));
-                }
-            }
-            labels.push(label.to_ascii_lowercase());
-        }
+        let labels = s
+            .split('.')
+            .map(canonical_label)
+            .collect::<Result<Vec<_>, _>>()?;
+        DnsName::checked(labels)
+    }
+
+    /// A name from canonical labels, rejecting it if it is too long.
+    fn checked(labels: Vec<String>) -> Result<Self, NameError> {
         let name = DnsName {
             labels: labels.into(),
         };
@@ -133,14 +125,18 @@ impl DnsName {
         })
     }
 
-    /// Prepend a label, producing a child name.
+    /// Prepend a label, producing a child name. A dotted `label` prepends
+    /// each of its labels, exactly as parsing `"{label}.{self}"` would.
     pub fn child(&self, label: &str) -> Result<DnsName, NameError> {
-        let mut s = label.to_string();
-        if !self.is_root() {
-            s.push('.');
-            s.push_str(&self.to_string());
+        if self.is_root() {
+            return DnsName::parse(label);
         }
-        DnsName::parse(&s)
+        let mut labels = Vec::with_capacity(self.labels.len() + 1);
+        for l in label.split('.') {
+            labels.push(canonical_label(l)?);
+        }
+        labels.extend(self.labels.iter().cloned());
+        DnsName::checked(labels)
     }
 
     /// True if the leftmost label is `*` (wildcard owner name).
@@ -165,11 +161,34 @@ impl DnsName {
 
 impl fmt::Display for DnsName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
+        let Some((first, rest)) = self.labels.split_first() else {
             return f.write_str(".");
+        };
+        f.write_str(first)?;
+        for label in rest {
+            f.write_str(".")?;
+            f.write_str(label)?;
         }
-        f.write_str(&self.labels.join("."))
+        Ok(())
     }
+}
+
+/// Validate one presentation-format label and lowercase it.
+fn canonical_label(label: &str) -> Result<String, NameError> {
+    if label.is_empty() {
+        return Err(NameError::EmptyLabel);
+    }
+    if label.len() > MAX_LABEL_LEN {
+        return Err(NameError::LabelTooLong(label.to_string()));
+    }
+    for c in label.chars() {
+        // Hostname-safe plus underscore (seen in real zones) and '*'
+        // (wildcard owner names).
+        if !(c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '*') {
+            return Err(NameError::BadCharacter(c));
+        }
+    }
+    Ok(label.to_ascii_lowercase())
 }
 
 impl FromStr for DnsName {
@@ -264,6 +283,31 @@ mod tests {
         let c = base.child("probe1").unwrap();
         assert_eq!(c.to_string(), "probe1.example.com");
         assert!(c.is_subdomain_of(&base));
+    }
+
+    #[test]
+    fn child_matches_parsing_the_joined_name() {
+        let base = DnsName::parse("Example.COM").unwrap();
+        for label in ["x", "A-b", "a.b", "", "a..b", "sp ace", &"y".repeat(64)] {
+            assert_eq!(
+                base.child(label),
+                DnsName::parse(&format!("{label}.{base}")),
+                "label {label:?}"
+            );
+        }
+        let long = DnsName::parse(&vec!["abcdefgh"; 28].join(".")).unwrap();
+        assert_eq!(long.child("abcdefgh"), Err(NameError::NameTooLong));
+        assert_eq!(
+            DnsName::root().child("x").unwrap(),
+            DnsName::parse("x").unwrap()
+        );
+    }
+
+    #[test]
+    fn display_separates_labels() {
+        assert_eq!(DnsName::parse("a.b.c").unwrap().to_string(), "a.b.c");
+        assert_eq!(DnsName::parse("a").unwrap().to_string(), "a");
+        assert_eq!(DnsName::root().to_string(), ".");
     }
 
     #[test]

@@ -175,9 +175,16 @@ impl AuthServer {
         &self.log
     }
 
-    /// Append log entries recorded elsewhere (shard evidence merging).
-    pub fn absorb_log(&mut self, entries: &[QueryLogEntry]) {
-        self.log.extend_from_slice(entries);
+    /// Move the log entries from index `at` on out of the log (shard
+    /// evidence handoff).
+    pub fn split_log_off(&mut self, at: usize) -> Vec<QueryLogEntry> {
+        self.log.split_off(at)
+    }
+
+    /// Append log entries recorded elsewhere, by move (shard evidence
+    /// merging).
+    pub fn absorb_log(&mut self, mut entries: Vec<QueryLogEntry>) {
+        self.log.append(&mut entries);
     }
 
     /// Queries for one name, in arrival order.

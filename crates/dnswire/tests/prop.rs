@@ -1,9 +1,14 @@
-//! Property-based tests: wire-format roundtrips and decoder robustness.
+//! Property-based tests: wire-format roundtrips, decoder robustness, and
+//! resolver-cache sweeps.
 
-use dnswire::{decode, encode, DnsName, Message, QType, RData, Rcode, Record};
+use dnswire::{
+    decode, encode, CachedAnswer, DnsCache, DnsName, Message, QType, RData, Rcode, Record,
+};
+use netsim::{SimDuration, SimTime};
+use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use substrate::qc::{self, alphabet, Config, Gen};
-use substrate::qc_assert_eq;
+use substrate::{qc_assert, qc_assert_eq};
 
 fn cfg() -> Config {
     Config::with_cases(256)
@@ -155,4 +160,121 @@ fn name_roundtrip() {
         qc_assert_eq!(&DnsName::parse(&s).unwrap(), name);
         qc::pass()
     });
+}
+
+/// The cache without sweeps: expired entries stay forever and simply stop
+/// answering.
+#[derive(Default)]
+struct NeverSwept {
+    entries: HashMap<(DnsName, u16), (CachedAnswer, SimTime)>,
+    hits: u64,
+    misses: u64,
+}
+
+impl NeverSwept {
+    fn get(&mut self, name: &DnsName, qtype: QType, now: SimTime) -> Option<CachedAnswer> {
+        match self.entries.get(&(name.clone(), qtype.code())) {
+            Some((answer, expires)) if *expires > now => {
+                self.hits += 1;
+                Some(answer.clone())
+            }
+            _ => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
+
+    fn put(&mut self, name: DnsName, qtype: QType, answer: CachedAnswer, expires: SimTime) {
+        self.entries.insert((name, qtype.code()), (answer, expires));
+    }
+}
+
+/// One cache operation: (kind, name pick, clock step in ms, TTL in s).
+/// Kind 0 is `put`, 1 `put_negative`, anything else `get`. Name picks
+/// below 4 reuse one of four names; pick `4 + k` names the unique name
+/// of the operation `k` steps back, so most puts add a fresh name and
+/// lookups find recently stored ones.
+type CacheOp = (u8, u8, u64, u32);
+
+fn cache_ops() -> Gen<Vec<CacheOp>> {
+    qc::vec_of(
+        qc::tuple4(
+            qc::ints(0u8..4),
+            qc::ints(0u8..16),
+            qc::ints(0u64..20_000),
+            qc::ints(1u32..120),
+        ),
+        0..400,
+    )
+}
+
+/// Amortised sweeps at a non-decreasing clock change neither answers nor
+/// counters: the swept cache agrees with a never-swept reference on every
+/// lookup and on `stats()`, over a few reused and many unique names.
+#[test]
+fn cache_sweeps_are_invisible() {
+    let swept_somewhere = std::cell::Cell::new(false);
+    qc::check(
+        "dns cache sweeps are invisible",
+        &Config::with_cases(128),
+        &cache_ops(),
+        |ops| {
+            let mut cache = DnsCache::new();
+            let mut naive = NeverSwept::default();
+            let mut now = SimTime::EPOCH;
+            for (i, &(kind, pick, step_ms, ttl)) in ops.iter().enumerate() {
+                now += SimDuration::from_millis(step_ms);
+                let name = match pick.checked_sub(4) {
+                    None => DnsName::parse(&format!("reused-{pick}.example")).unwrap(),
+                    Some(back) => {
+                        let step = i.saturating_sub(back as usize);
+                        DnsName::parse(&format!("unique-{step}.example")).unwrap()
+                    }
+                };
+                let qtype = if pick % 2 == 0 { QType::A } else { QType::Aaaa };
+                match kind {
+                    0 => {
+                        let records = vec![Record {
+                            name: name.clone(),
+                            ttl,
+                            rdata: RData::A(Ipv4Addr::new(192, 0, 2, pick)),
+                        }];
+                        let expires = now + SimDuration::from_secs(ttl as u64);
+                        naive.put(
+                            name.clone(),
+                            qtype,
+                            CachedAnswer::Records(records.clone()),
+                            expires,
+                        );
+                        cache.put(name, qtype, records, now);
+                    }
+                    1 => {
+                        let expires = now + dnswire::cache::NEGATIVE_TTL;
+                        naive.put(
+                            name.clone(),
+                            qtype,
+                            CachedAnswer::Negative(Rcode::NxDomain),
+                            expires,
+                        );
+                        cache.put_negative(name, qtype, Rcode::NxDomain, now);
+                    }
+                    _ => {
+                        qc_assert_eq!(cache.get(&name, qtype, now), naive.get(&name, qtype, now));
+                    }
+                }
+                cache.sweep_if_grown(now);
+                qc_assert_eq!(cache.stats(), (naive.hits, naive.misses));
+            }
+            qc_assert!(cache.len() <= naive.entries.len());
+            if cache.len() < naive.entries.len() {
+                swept_somewhere.set(true);
+            }
+            qc::pass()
+        },
+    );
+    assert!(
+        swept_somewhere.get(),
+        "no generated case ever swept an entry"
+    );
 }

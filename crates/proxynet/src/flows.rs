@@ -108,12 +108,18 @@ impl World {
             let resp = dnswire::decode(&wire).expect("response decodes");
             self.scratch.dns_wire = wire;
             if self.resolver_caching {
+                // Sweep at the world clock, never at the query's own
+                // (possibly later) `at`: every later lookup starts from a
+                // request admitted at or after the clock, so what a
+                // clock-horizon sweep drops could only ever have missed.
+                let horizon = self.now();
                 let cache = self.resolver_caches.entry(resolver_src).or_default();
                 if resp.is_nxdomain() {
                     cache.put_negative(name, QType::A, dnswire::Rcode::NxDomain, at);
                 } else if !resp.answers.is_empty() {
                     cache.put(name, QType::A, resp.answers.clone(), at);
                 }
+                cache.sweep_if_grown(horizon);
             }
             if resp.is_nxdomain() {
                 return None;

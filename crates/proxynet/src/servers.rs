@@ -144,10 +144,16 @@ impl WebServer {
         self.log.iter().filter(move |e| e.host == host)
     }
 
-    /// Append log entries recorded elsewhere (shard evidence merging —
-    /// see `World::absorb_evidence`).
-    pub fn absorb_log(&mut self, entries: &[WebLogEntry]) {
-        self.log.extend_from_slice(entries);
+    /// Move the log entries from index `at` on out of the log (shard
+    /// evidence handoff — see `World::into_evidence`).
+    pub fn split_log_off(&mut self, at: usize) -> Vec<WebLogEntry> {
+        self.log.split_off(at)
+    }
+
+    /// Append log entries recorded elsewhere, by move (shard evidence
+    /// merging — see `World::absorb`).
+    pub fn absorb_log(&mut self, mut entries: Vec<WebLogEntry>) {
+        self.log.append(&mut entries);
     }
 
     /// Clear the log.

@@ -72,12 +72,29 @@ pub struct EvidenceMark {
     bytes_billed: HashMap<String, u64>,
 }
 
+/// The measurement evidence a world gathered since an [`EvidenceMark`],
+/// owned: what [`World::into_evidence`] hands back from a finished shard
+/// and what [`World::absorb`] appends to the live world.
+#[derive(Debug)]
+pub struct ShardEvidence {
+    /// Web-server log entries recorded after the mark, in log order.
+    pub web_log: Vec<crate::WebLogEntry>,
+    /// Authoritative-DNS log entries recorded after the mark, in log order.
+    pub auth_log: Vec<dnswire::QueryLogEntry>,
+    /// Per-customer billing accrued since the mark, sorted by customer.
+    pub billing: Vec<(String, u64)>,
+    /// The world's clock when the evidence was taken.
+    pub clock: SimTime,
+}
+
 /// The simulated Internet plus the measurement infrastructure.
 ///
 /// `Clone` snapshots the world — clock, pending events, RNG state, every
 /// server log. The parallel study executor clones one world per shard so
-/// disjoint node populations can be probed concurrently, then merges the
-/// measurement evidence back with [`World::absorb_evidence`].
+/// disjoint node populations can be probed concurrently; each shard ends
+/// by turning itself into its owned measurement evidence
+/// ([`World::into_evidence`]), which the live world appends with
+/// [`World::absorb`].
 ///
 /// ## Shared-immutable sections (the overlay contract)
 ///
@@ -592,6 +609,11 @@ impl World {
         self.resolvers.get(&ip)
     }
 
+    /// The cache of the resolver at `ip`, once it has cached anything.
+    pub fn resolver_cache(&self, ip: Ipv4Addr) -> Option<&dnswire::DnsCache> {
+        self.resolver_caches.get(&ip)
+    }
+
     /// All registered resolvers (for longitudinal world mutation and
     /// scoring).
     pub fn resolvers(&self) -> impl Iterator<Item = &ResolverDef> {
@@ -666,8 +688,8 @@ impl World {
     // -- shard evidence merging (parallel study executor) --------------------
 
     /// A marker taken *before* cloning this world into shards, recording how
-    /// much measurement evidence already exists. [`World::absorb_evidence`]
-    /// uses it to copy back only what a shard added.
+    /// much measurement evidence already exists. [`World::into_evidence`]
+    /// uses it to hand back only what a shard added.
     pub fn evidence_mark(&self) -> EvidenceMark {
         EvidenceMark {
             web_log_len: self.web_server.log().len(),
@@ -676,31 +698,38 @@ impl World {
         }
     }
 
-    /// Merge the measurement evidence a shard produced back into this world:
-    /// web-server and authoritative-DNS log entries beyond the mark are
-    /// appended (callers absorb shards in shard order, so the merged logs are
-    /// deterministic), per-customer billing deltas are added, and the clock
-    /// advances to the shard's finish time if it is ahead (firing any events
-    /// due in between).
+    /// Tear a finished shard world down into the evidence it gathered since
+    /// `mark`: the web and authoritative-DNS log tails (moved out, not
+    /// copied), the billing delta, and the clock.
     ///
-    /// Only *evidence* merges; shard-local control state (sessions, resolver
-    /// caches, zone provisioning) stays in the shard, exactly as a real
-    /// measurement backend only ever sees its servers' logs and the bill.
-    pub fn absorb_evidence(&mut self, shard: &World, mark: &EvidenceMark) {
-        self.web_server
-            .absorb_log(&shard.web_server.log()[mark.web_log_len..]);
-        self.auth_server
-            .absorb_log(&shard.auth_server.log()[mark.auth_log_len..]);
-        for (customer, &billed) in &shard.bytes_billed {
-            let base = mark.bytes_billed.get(customer).copied().unwrap_or(0);
-            let delta = billed
-                .checked_sub(base)
-                .expect("shard billing went backwards");
+    /// Only *evidence* leaves; shard-local control state (sessions,
+    /// resolver caches, zone provisioning) is dropped with the world, here
+    /// on the caller's thread, exactly as a real measurement backend only
+    /// ever sees its servers' logs and the bill.
+    pub fn into_evidence(mut self, mark: &EvidenceMark) -> ShardEvidence {
+        ShardEvidence {
+            web_log: self.web_server.split_log_off(mark.web_log_len),
+            auth_log: self.auth_server.split_log_off(mark.auth_log_len),
+            billing: self.billing_delta(mark),
+            clock: self.now(),
+        }
+    }
+
+    /// Append evidence gathered elsewhere: the log entries are moved onto
+    /// this world's logs, billing deltas are added, and the clock advances
+    /// to the evidence's clock if it is ahead (firing any events due in
+    /// between). Callers absorb shards in a fixed order (the study
+    /// executor's experiment-major / shard-minor task order; a checkpoint's
+    /// recorded order on restore), so the merged logs are deterministic.
+    pub fn absorb(&mut self, ev: ShardEvidence) {
+        self.web_server.absorb_log(ev.web_log);
+        self.auth_server.absorb_log(ev.auth_log);
+        for (customer, delta) in ev.billing {
             if delta > 0 {
-                *self.bytes_billed.entry(customer.clone()).or_insert(0) += delta;
+                *self.bytes_billed.entry(customer).or_insert(0) += delta;
             }
         }
-        if let Some(ahead) = shard.now().checked_since(self.now()) {
+        if let Some(ahead) = ev.clock.checked_since(self.now()) {
             if !ahead.is_zero() {
                 self.advance(ahead);
             }
@@ -730,6 +759,7 @@ impl World {
                 let delta = billed
                     .checked_sub(base)
                     .expect("billing went backwards since mark");
+                // tft-lint: allow(hot-path-alloc, reason = "per-task, not per-probe: one owned key per billed customer when a shard hands back its evidence, or once per checkpoint")
                 (delta > 0).then(|| (customer.clone(), delta))
             })
             .collect();
@@ -760,28 +790,6 @@ impl World {
     /// clock, which is what makes clock-only restore exact.
     pub fn is_idle(&self) -> bool {
         self.sched.is_idle()
-    }
-
-    /// Splice checkpointed evidence into a freshly rebuilt world (the
-    /// restore path): append recorded server-log entries and add billing
-    /// deltas. The caller is responsible for having advanced the clock to
-    /// the checkpoint time first and for feeding entries in canonical
-    /// (experiment-major) order — this is the same append discipline as
-    /// [`World::absorb_evidence`], sourced from a checkpoint instead of a
-    /// live shard.
-    pub fn restore_evidence(
-        &mut self,
-        web: &[crate::WebLogEntry],
-        auth: &[dnswire::QueryLogEntry],
-        billing: &[(String, u64)],
-    ) {
-        self.web_server.absorb_log(web);
-        self.auth_server.absorb_log(auth);
-        for (customer, delta) in billing {
-            if *delta > 0 {
-                *self.bytes_billed.entry(customer.clone()).or_insert(0) += delta;
-            }
-        }
     }
 
     /// The anycast instance a Google-DNS-configured node in `country` hits.

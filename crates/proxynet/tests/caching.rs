@@ -5,7 +5,7 @@
 use dnswire::DnsName;
 use httpwire::{Response, Uri};
 use inetdb::{CountryCode, InternetRegistry};
-use netsim::{SimRng, SimTime};
+use netsim::{SimDuration, SimRng, SimTime};
 use proxynet::{ExitNode, NodeId, Platform, ResolverChoice, ResolverDef, UsernameOptions, World};
 use std::net::Ipv4Addr;
 
@@ -115,6 +115,47 @@ fn shared_anycast_cache_hides_the_exit_query() {
         1,
         "only the super proxy's query is visible"
     );
+}
+
+#[test]
+fn footnote_8_hazard_survives_cache_sweeps() {
+    // A campaign's worth of unique probe names, each outliving its TTL,
+    // makes the shared instance's cache sweep its dead entries. Sweeping
+    // must not change what the cache answers: the super proxy's positive
+    // answer for a fresh name is still served to a node behind the same
+    // instance, and the authority still sees only one query.
+    let mut w = world(true);
+    let instance = w.super_proxy_dns_src();
+    let probes: u64 = 200;
+    for i in 0..probes {
+        let host = provision(&mut w, &format!("sweep-{i}"));
+        let opts = UsernameOptions::new("c").session(i).dns_remote();
+        w.proxy_get(&opts, &Uri::http(&host, "/")).unwrap();
+        w.advance(SimDuration::from_secs(600));
+    }
+    let cache = w.resolver_cache(instance).expect("instance cached answers");
+    assert!(
+        cache.len() < probes as usize,
+        "no sweep ran: {} entries after {probes} unique probes",
+        cache.len()
+    );
+    assert_eq!(
+        cache.stats(),
+        (probes, probes),
+        "each exit query hit the super proxy's entry, each super query missed"
+    );
+
+    let host = provision(&mut w, "after-sweep");
+    let opts = UsernameOptions::new("c").session(probes).dns_remote();
+    let resp = w.proxy_get(&opts, &Uri::http(&host, "/")).unwrap();
+    assert_eq!(resp.body, b"x".to_vec());
+    assert_eq!(
+        w.auth_server().queries_for(&name(&host)).count(),
+        1,
+        "only the super proxy's query is visible"
+    );
+    let (hits, misses) = w.resolver_cache(instance).unwrap().stats();
+    assert_eq!((hits, misses), (probes + 1, probes + 1));
 }
 
 #[test]

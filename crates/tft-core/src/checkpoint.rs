@@ -37,7 +37,7 @@ use crate::quality::{DataQuality, QualityCounts};
 use crate::study::{StudyDriver, StudyStage};
 use dnswire::QueryLogEntry;
 use netsim::SimTime;
-use proxynet::{WebLogEntry, World};
+use proxynet::{ShardEvidence, WebLogEntry, World};
 use std::fmt;
 use substrate::json::{FromJson, Json, JsonError, ToJson};
 use substrate::{json_enum, json_struct};
@@ -252,20 +252,23 @@ impl StudyDriver {
         let base = pristine;
         let mark = base.evidence_mark();
         let mut world = base.clone();
-        // Advance the clock to the checkpointed boundary. The scheduler is
-        // idle (checked above), so this moves time and fires nothing —
-        // exactly the state the interrupted driver's world was in.
-        if let Some(ahead) = cp.now.checked_since(world.now()) {
-            if !ahead.is_zero() {
-                world.advance(ahead);
-            }
-        } else {
+        if cp.now < world.now() {
             return Err(CheckpointError::ClockMismatch {
                 expected: cp.now,
                 found: world.now(),
             });
         }
-        world.restore_evidence(&cp.web_log, &cp.auth_log, &cp.billing);
+        // Splice the recorded evidence back through the same absorb a
+        // finished shard goes through, which also advances the clock to the
+        // checkpointed boundary. The scheduler is idle (checked above), so
+        // that moves time and fires nothing — exactly the state the
+        // interrupted driver's world was in.
+        world.absorb(ShardEvidence {
+            web_log: cp.web_log.clone(),
+            auth_log: cp.auth_log.clone(),
+            billing: cp.billing.clone(),
+            clock: cp.now,
+        });
         let rng_found = world.rng_fingerprint();
         if rng_found != cp.rng_fingerprint {
             return Err(CheckpointError::RngDiverged {

@@ -37,7 +37,7 @@ use crate::obs::{DnsDataset, HttpDataset, HttpsDataset, MonitorDataset};
 use crate::{dns_exp, http_exp, https_exp, monitor_exp};
 use inetdb::CountryCode;
 use netsim::SimRng;
-use proxynet::{EvidenceMark, World};
+use proxynet::{EvidenceMark, ShardEvidence, World};
 use substrate::pool;
 
 /// Number of population shards the study plan splits each experiment into.
@@ -217,8 +217,11 @@ type WaveTask = (Experiment, usize, Vec<(CountryCode, usize)>);
 
 /// Run `experiments` as **one wave**: every (experiment × shard) pair
 /// becomes a task in a single work queue, all forked from the same
-/// study-start snapshot `base`, and the results are absorbed into `live`
-/// in canonical experiment-major / shard-minor order against `mark`.
+/// study-start snapshot `base`. Each task ends by tearing its shard world
+/// down into owned evidence against `mark` ([`World::into_evidence`]), so
+/// the world is dropped on the worker that ran it and only logs, billing
+/// and a clock travel back. The evidence is absorbed into `live` by move
+/// ([`World::absorb`]) in canonical experiment-major / shard-minor order.
 ///
 /// Compared to the old one-queue-per-experiment design this removes three
 /// full pool barriers from a four-experiment study: a worker that finishes
@@ -286,9 +289,9 @@ pub(crate) fn run_wave(
                 ShardData::Monitor(monitor_exp::run_shard(&mut shard_world, cfg, scope))
             }
         };
-        (data, shard_world)
+        (data, shard_world.into_evidence(mark))
     };
-    let finished: Vec<(ShardData, World)> = match fault {
+    let finished: Vec<(ShardData, ShardEvidence)> = match fault {
         None => pool::par_map(workers, tasks, |task| run_task(&task)),
         Some(policy) => {
             let (results, report) =
@@ -321,8 +324,8 @@ pub(crate) fn run_wave(
     // canonical order regardless of worker count, and the same order a
     // stage-at-a-time driver produces across separate waves.
     let mut datas = Vec::with_capacity(finished.len());
-    for (data, shard_world) in finished {
-        live.absorb_evidence(&shard_world, mark);
+    for (data, evidence) in finished {
+        live.absorb(evidence);
         datas.push(data);
     }
 
