@@ -18,6 +18,7 @@ use middlebox::RefetchOffset;
 use netsim::rng::RngExt;
 use netsim::{FaultInjector, FaultTarget, FaultVerdict, SimRng, SimTime, TraceCategory};
 use std::net::Ipv4Addr;
+use substrate::legacy_fnv64;
 
 /// Maximum exit-node attempts per request (Luminati retries up to five
 /// times, §2.3).
@@ -314,9 +315,10 @@ impl World {
             // Same label bytes as the historical `format!("monitor-{idx}")`,
             // pre-rendered at registration so the seed derivation (and the
             // goldens pinning it) is untouched.
-            let mut rng = self
-                .rng
-                .fork_indexed(&self.monitor_fork_labels[idx], node_id.0 as u64 ^ fnv(host));
+            let mut rng = self.rng.fork_indexed(
+                &self.monitor_fork_labels[idx],
+                node_id.0 as u64 ^ legacy_fnv64(host.as_bytes()),
+            );
             let plan = entity.plan(&mut rng);
             let ua = entity.user_agent.clone();
             for refetch in plan {
@@ -790,13 +792,4 @@ impl World {
         self.advance_to(t + l.client_to_super.sample(&mut rng));
         Err(Self::all_retries_error(debug))
     }
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }

@@ -16,6 +16,15 @@ use crate::rng::mix64;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// [`legacy_fnv64`]'s multiplier: one hex digit longer than [`FNV_PRIME`].
+const LEGACY_PRIME: u64 = 0x0000_1000_0000_01b3;
+
+/// The FNV-1a round — xor in a byte, multiply by `prime` — over `bytes`.
+fn fnv_fold(state: u64, bytes: &[u8], prime: u64) -> u64 {
+    bytes
+        .iter()
+        .fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(prime))
+}
 
 /// Hash `bytes` to a stable 64-bit value.
 ///
@@ -23,9 +32,25 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// for content-addressing and cache keys, **not** for adversarial inputs
 /// (it is not a cryptographic hash, and collisions can be constructed).
 pub fn stable64(bytes: &[u8]) -> u64 {
-    let mut h = Hasher64::new();
-    h.update(bytes);
-    h.finish()
+    mix64(fnv1a64(bytes))
+}
+
+/// Plain 64-bit FNV-1a of `bytes`, without [`stable64`]'s avalanche
+/// finish: the raw state [`Hasher64`] accumulates. Use it where a plain
+/// FNV-1a value is wanted (e.g. an archived report digest); prefer
+/// [`stable64`] for new keys.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv_fold(FNV_OFFSET, bytes, FNV_PRIME)
+}
+
+/// FNV-1a's structure with the multiplier `0x1000_0000_01b3` instead of
+/// the FNV-64 prime `0x100_0000_01b3` — **not** [`fnv1a64`]. Simulated
+/// randomness is pinned to it (monitor refetch and TLS interception RNG
+/// fork indices) along with the DNS analysis's hijack-script family keys,
+/// so switching those callers to [`fnv1a64`] changes study output. Use
+/// [`stable64`] or [`fnv1a64`] for anything new.
+pub fn legacy_fnv64(bytes: &[u8]) -> u64 {
+    fnv_fold(FNV_OFFSET, bytes, LEGACY_PRIME)
 }
 
 /// Incremental form of [`stable64`]: feed bytes in any segmentation, the
@@ -43,10 +68,7 @@ impl Hasher64 {
 
     /// Absorb `bytes`.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
+        self.state = fnv_fold(self.state, bytes, FNV_PRIME);
     }
 
     /// Finish with the splitmix64 avalanche so short or similar inputs
@@ -78,6 +100,28 @@ mod tests {
             stable64(b"The quick brown fox jumps over the lazy dog"),
             0x1e8e_6a07_9b16_7ea7
         );
+    }
+
+    #[test]
+    fn stable64_is_the_finished_fnv1a64() {
+        for input in [
+            &b""[..],
+            b"a",
+            b"spec",
+            b"The quick brown fox jumps over the lazy dog",
+        ] {
+            assert_eq!(stable64(input), mix64(fnv1a64(input)));
+        }
+        // The FNV-1a reference value for the empty input is its offset basis.
+        assert_eq!(fnv1a64(b""), FNV_OFFSET);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn legacy_fnv64_is_pinned_and_distinct() {
+        assert_eq!(legacy_fnv64(b""), FNV_OFFSET);
+        assert_eq!(legacy_fnv64(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_ne!(legacy_fnv64(b"a"), fnv1a64(b"a"));
     }
 
     #[test]

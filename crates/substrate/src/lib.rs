@@ -49,7 +49,7 @@ pub mod pool;
 pub mod qc;
 pub mod rng;
 
-pub use hash::{stable64, Hasher64};
+pub use hash::{fnv1a64, legacy_fnv64, stable64, Hasher64};
 pub use json::{FromJson, Json, JsonError, Num, ToJson};
 pub use pool::{par_map, FaultInjector, FaultPolicy, Pool, TaskReport, TaskStatus};
 pub use rng::{Rng, RngExt, SplitMix64, Xoshiro256pp};

@@ -9,6 +9,7 @@ use middlebox::{extract_urls, url_domain};
 use proxynet::World;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use substrate::legacy_fnv64;
 
 /// One Table 3 row.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,15 +196,6 @@ pub fn normalize_hijack_js(content: &[u8]) -> Option<String> {
     Some(out)
 }
 
-fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 fn in_google_anycast(ip: Ipv4Addr) -> bool {
     let o = ip.octets();
     o[0] == 74 && o[1] == 125
@@ -279,7 +271,7 @@ pub fn analyze(data: &DnsDataset, world: &World, cfg: &StudyConfig) -> DnsAnalys
     // ---- resolver classification -------------------------------------------
     let mut hijacking_isp_servers: BTreeMap<u32, (String, CountryCode, usize, usize)> =
         BTreeMap::new();
-    let mut hijacking_public: BTreeMap<u32, (String, usize, usize)> = BTreeMap::new();
+    let mut hijacking_public: BTreeMap<String, (usize, usize)> = BTreeMap::new();
     let mut isp_server_set: BTreeSet<Ipv4Addr> = BTreeSet::new();
     let mut public_server_set: BTreeSet<Ipv4Addr> = BTreeSet::new();
 
@@ -320,10 +312,9 @@ pub fn analyze(data: &DnsDataset, world: &World, cfg: &StudyConfig) -> DnsAnalys
                     .org_of_ip(ip)
                     .map(|o| o.name.clone())
                     .unwrap_or_else(|| "unknown".into());
-                let key = fnv(&operator);
-                let e = hijacking_public.entry(key).or_insert((operator, 0, 0));
-                e.1 += 1;
-                e.2 += g.nodes;
+                let e = hijacking_public.entry(operator).or_insert((0, 0));
+                e.0 += 1;
+                e.1 += g.nodes;
             }
         }
     }
@@ -339,8 +330,8 @@ pub fn analyze(data: &DnsDataset, world: &World, cfg: &StudyConfig) -> DnsAnalys
     out.isp_rows
         .sort_by(|a, b| (a.country, &a.isp).cmp(&(b.country, &b.isp)));
     out.public_services = hijacking_public
-        .into_values()
-        .map(|(operator, servers, nodes)| PublicServiceRow {
+        .into_iter()
+        .map(|(operator, (servers, nodes))| PublicServiceRow {
             operator,
             servers,
             nodes,
@@ -448,7 +439,7 @@ pub fn analyze(data: &DnsDataset, world: &World, cfg: &StudyConfig) -> DnsAnalys
             .map(|o| o.name.clone())
             .unwrap_or_else(|| "unknown".into());
         let agg = js_families
-            .entry(fnv64(&normalized))
+            .entry(legacy_fnv64(normalized.as_bytes()))
             .or_insert(JsFamilyAgg {
                 isps: BTreeSet::new(),
                 nodes: 0,
@@ -486,15 +477,6 @@ pub fn analyze(data: &DnsDataset, world: &World, cfg: &StudyConfig) -> DnsAnalys
         }
     }
     out
-}
-
-fn fnv(s: &str) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for b in s.bytes() {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -40,6 +40,7 @@ use netsim::SimTime;
 use proxynet::{ShardEvidence, WebLogEntry, World};
 use std::fmt;
 use substrate::json::{FromJson, Json, JsonError, ToJson};
+use substrate::pool::FaultPolicy;
 use substrate::{json_enum, json_struct};
 use worldgen::WorldSpec;
 
@@ -296,7 +297,7 @@ impl StudyDriver {
             https_data: cp.https_data.clone(),
             monitor_data: cp.monitor_data.clone(),
             report: None,
-            fault: None,
+            fault: FaultPolicy::default(),
         })
     }
 }

@@ -1,9 +1,10 @@
-//! Deterministic parallel study executor.
+//! Deterministic parallel wave executor.
 //!
 //! The paper's selling point is scale — 1.2M vantage points measured "in
 //! days, not years" (§1) — and a real measurement backend runs crawler
-//! instances in parallel. This module makes [`crate::run_study`] parallel
-//! **without giving up byte-identical determinism**:
+//! instances in parallel. This module is how [`crate::StudyDriver`], the
+//! one study orchestrator, runs experiment stages in parallel **without
+//! giving up byte-identical determinism**:
 //!
 //! - The exit-node population is partitioned by *country* into a fixed
 //!   number of shards ([`SHARD_COUNT`] — a semantic constant of the
@@ -18,26 +19,34 @@
 //!   of the underlying [`substrate::pool`] is a pure throughput knob.
 //!   Forks are cheap: the world's bulk data sits behind shared `Arc`s and
 //!   copies on first write, so a shard pays only for what it mutates.
-//! - All experiments of a study flow through **one work queue**
-//!   (`run_wave`) rather than one pool barrier per experiment: a worker
-//!   that drains the last DNS shard immediately starts an HTTP shard. The
-//!   paper's experiments ran in overlapping windows (§3), so the overlap
-//!   is faithful, not a shortcut.
+//! - The driver hands `run_wave` the experiments it wants run, and all of
+//!   them flow through **one work queue**.
+//!   [`crate::StudyDriver::run_to_completion`] queues every remaining
+//!   experiment in one wave, so a worker that drains the last DNS shard
+//!   immediately starts an HTTP shard; the paper's experiments ran in
+//!   overlapping windows (§3), so the overlap is faithful, not a shortcut.
+//!   [`crate::StudyDriver::step`] queues one experiment per wave, for
+//!   callers that checkpoint or report progress between stages.
+//! - Every wave is supervised ([`substrate::pool::Pool::run_supervised`])
+//!   under the driver's [`substrate::pool::FaultPolicy`], zero retries by
+//!   default: a shard that panics is retried from the pristine snapshot,
+//!   and one that keeps panicking aborts the study with a message naming
+//!   its experiment and shard.
 //! - Shard results are merged in canonical experiment-major / shard-minor
 //!   order (shard evidence in task order, observations re-sorted by zID /
 //!   probe key), so `render_tables` and every golden are bit-identical at
-//!   any worker count.
+//!   any worker count and however the experiments are split into waves.
 //!
 //! The partition itself is LPT greedy (largest country first onto the
 //! lightest shard, ties broken by country code and shard index), which is
 //! deterministic and keeps shard workloads balanced.
 
-use crate::config::StudyConfig;
 use crate::obs::{DnsDataset, HttpDataset, HttpsDataset, MonitorDataset};
+use crate::study::StudyDriver;
 use crate::{dns_exp, http_exp, https_exp, monitor_exp};
 use inetdb::CountryCode;
 use netsim::SimRng;
-use proxynet::{EvidenceMark, ShardEvidence, World};
+use proxynet::World;
 use substrate::pool;
 
 /// Number of population shards the study plan splits each experiment into.
@@ -51,7 +60,7 @@ pub const SHARD_COUNT: usize = 8;
 /// merged evidence log never shows two shards reusing one session id.
 const SESSION_STRIDE: u64 = 1 << 32;
 
-/// Execution options for [`crate::study::run_study_with`].
+/// Execution options for a study ([`crate::StudyDriver`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
     /// Worker threads used to run shards (and analyses) concurrently.
@@ -72,10 +81,9 @@ impl Default for ExecOptions {
     /// Default to the machine's available parallelism, uncapped. A full
     /// study wave queues `experiments × SHARD_COUNT` tasks (32 for the
     /// four-experiment study), and [`substrate::pool::Pool::run`] already
-    /// clamps workers to the task count per call, so there is no benefit to
-    /// capping here — the old `min(SHARD_COUNT)` cap silently threw away
-    /// cores once waves grew past one experiment. Safe to machine-derive
-    /// precisely because output is worker-count-invariant.
+    /// clamps workers to the task count per call, so capping here would
+    /// only throw cores away. Safe to machine-derive precisely because
+    /// output is worker-count-invariant.
     fn default() -> Self {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -188,24 +196,17 @@ pub(crate) enum Experiment {
     Monitor,
 }
 
-/// One experiment's merged dataset, so a heterogeneous wave can return
-/// through a single channel.
+/// One experiment's dataset — one shard's, or the merge of all of them —
+/// so a heterogeneous wave can return through a single channel.
+#[derive(Debug)]
 pub(crate) enum ExpData {
-    /// Merged DNS dataset.
+    /// DNS dataset.
     Dns(DnsDataset),
-    /// Merged HTTP dataset.
+    /// HTTP dataset.
     Http(HttpDataset),
-    /// Merged HTTPS dataset.
+    /// HTTPS dataset.
     Https(HttpsDataset),
-    /// Merged monitoring dataset.
-    Monitor(MonitorDataset),
-}
-
-/// Per-shard output of one wave task.
-enum ShardData {
-    Dns(DnsDataset),
-    Http(HttpDataset),
-    Https(HttpsDataset),
+    /// Monitoring dataset.
     Monitor(MonitorDataset),
 }
 
@@ -215,51 +216,54 @@ enum ShardData {
 /// a pure function of this tuple.
 type WaveTask = (Experiment, usize, Vec<(CountryCode, usize)>);
 
-/// Run `experiments` as **one wave**: every (experiment × shard) pair
-/// becomes a task in a single work queue, all forked from the same
-/// study-start snapshot `base`. Each task ends by tearing its shard world
-/// down into owned evidence against `mark` ([`World::into_evidence`]), so
-/// the world is dropped on the worker that ran it and only logs, billing
-/// and a clock travel back. The evidence is absorbed into `live` by move
+/// Run `experiments` as **one wave** on `driver`'s world: every
+/// (experiment × shard) pair becomes a task in a single work queue, all
+/// forked from the driver's study-start snapshot. Each task ends by
+/// tearing its shard world down into owned evidence against the driver's
+/// evidence mark ([`World::into_evidence`]), so the world is dropped on the
+/// worker that ran it and only logs, billing and a clock travel back. The
+/// evidence is absorbed into the driver's live world by move
 /// ([`World::absorb`]) in canonical experiment-major / shard-minor order.
 ///
-/// Compared to the old one-queue-per-experiment design this removes three
-/// full pool barriers from a four-experiment study: a worker that finishes
-/// its last DNS shard immediately picks up an HTTP shard instead of idling
-/// until the slowest DNS shard lands. It is also what the paper actually
-/// did — the experiments ran in *overlapping* windows (§3), not serial
-/// phases.
+/// A wave has no pool barrier between its experiments: a worker that
+/// finishes its last DNS shard immediately picks up an HTTP shard instead
+/// of idling until the slowest DNS shard lands.
 ///
-/// Determinism: every task forks `base` (cheap — the world's bulk data is
-/// behind shared `Arc`s and copies on first write, see
-/// [`proxynet::World`]), seeds from `base`'s clock plus a per-experiment
-/// salt and the shard index, and never sees another task's effects.
+/// Determinism: every task forks the snapshot (cheap — the world's bulk
+/// data is behind shared `Arc`s and copies on first write, see
+/// [`proxynet::World`]), seeds from its clock plus a per-experiment salt
+/// and the shard index, and never sees another task's effects.
 /// Absorb/merge order is fixed by the task list, not by scheduling, so the
-/// returned datasets and `live`'s evidence log are byte-identical at any
-/// worker count.
+/// returned datasets and the live world's evidence log are byte-identical
+/// at any worker count, and one wave over several experiments equals one
+/// wave per experiment run in the same order.
 ///
 /// `deep_fork` is a test seam: when set, every shard world is deeply
-/// unshared after forking ([`World::unshare`]), which reproduces the old
+/// unshared after forking ([`World::unshare`]), which reproduces the
 /// whole-clone execution exactly and pins the copy-on-write overlay to it.
 ///
-/// `fault` selects supervised execution: per-task panics are contained and
-/// retried per the policy ([`substrate::pool::Pool::run_supervised`]); each
-/// retry re-forks the shard world from `base`, so an attempt that succeeds
-/// on retry `k` is byte-identical to one that succeeded immediately. Tasks
-/// still failing after every retry abort the wave with a named panic — a
-/// study must never render a report with a missing shard.
+/// Every wave runs under the driver's fault policy
+/// ([`substrate::pool::Pool::run_supervised`]): per-task panics are
+/// contained and retried; each retry re-forks the shard world from the
+/// snapshot, so an attempt that succeeds on retry `k` is byte-identical to
+/// one that succeeded immediately. Tasks still failing after every retry
+/// abort the wave with a panic naming their experiment and shard — a study
+/// must never render a report with a missing shard.
 // tft-lint: hot-root — shard bodies: every per-probe loop runs inside this
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_wave(
-    live: &mut World,
-    base: &World,
-    mark: &EvidenceMark,
-    cfg: &StudyConfig,
-    workers: usize,
+    driver: &mut StudyDriver,
     experiments: &[Experiment],
     deep_fork: bool,
-    fault: Option<&pool::FaultPolicy>,
 ) -> Vec<ExpData> {
+    let StudyDriver {
+        world: ref mut live,
+        ref base,
+        ref mark,
+        ref cfg,
+        workers,
+        ref fault,
+        ..
+    } = *driver;
     let plans = plan_shards(&base.reported_country_counts(), SHARD_COUNT);
     let tasks: Vec<WaveTask> = experiments
         .iter()
@@ -271,104 +275,64 @@ pub(crate) fn run_wave(
                 .map(move |(k, plan)| (exp, k, plan.clone()))
         })
         .collect();
-    let run_task = |&(exp, k, ref plan): &WaveTask| {
-        // tft-lint: allow(hot-path-alloc, reason = "per-attempt fork, not per-probe: base.clone() only bumps the shared world's Arcs, and re-forking per attempt is what makes supervised retries pure")
-        let mut shard_world = base.clone();
-        if deep_fork {
-            shard_world.unshare();
-        }
-        // tft-lint: allow(hot-path-alloc, reason = "per-attempt scope setup: a handful of country codes per shard")
-        let scope = ProbeScope::shard(k, plan.clone());
-        let data = match exp {
-            Experiment::Dns => ShardData::Dns(dns_exp::run_shard(&mut shard_world, cfg, scope)),
-            Experiment::Http => ShardData::Http(http_exp::run_shard(&mut shard_world, cfg, scope)),
-            Experiment::Https => {
-                ShardData::Https(https_exp::run_shard(&mut shard_world, cfg, scope))
+    let (results, report) =
+        pool::Pool::new(workers).run_supervised(&tasks, fault, |_, &(exp, k, ref plan)| {
+            // tft-lint: allow(hot-path-alloc, reason = "per-attempt fork, not per-probe: base.clone() only bumps the shared world's Arcs, and re-forking per attempt is what makes supervised retries pure")
+            let mut shard_world = base.clone();
+            if deep_fork {
+                shard_world.unshare();
             }
-            Experiment::Monitor => {
-                ShardData::Monitor(monitor_exp::run_shard(&mut shard_world, cfg, scope))
-            }
-        };
-        (data, shard_world.into_evidence(mark))
-    };
-    let finished: Vec<(ShardData, ShardEvidence)> = match fault {
-        None => pool::par_map(workers, tasks, |task| run_task(&task)),
-        Some(policy) => {
-            let (results, report) =
-                pool::Pool::new(workers).run_supervised(&tasks, policy, |_, task| run_task(task));
-            if !report.quarantined.is_empty() {
-                let detail: Vec<String> = report
-                    .quarantined
-                    .iter()
-                    .map(|(i, msg)| {
-                        let (exp, k, _) = &tasks[*i];
-                        // tft-lint: allow(hot-path-alloc, reason = "failure path only: formatting quarantine details immediately before the wave aborts")
-                        format!("{exp:?} shard {k} (task {i}): {msg}")
-                    })
-                    .collect();
-                panic!(
-                    "supervised wave: {} task(s) poisoned after {} retries: {}",
-                    detail.len(),
-                    policy.max_retries,
-                    detail.join("; ")
-                );
-            }
-            results
-                .into_iter()
-                .map(|r| r.expect("no task is poisoned, checked above"))
-                .collect()
-        }
-    };
-
-    // Absorb in task order (experiment-major, shard-minor) — the same
-    // canonical order regardless of worker count, and the same order a
-    // stage-at-a-time driver produces across separate waves.
-    let mut datas = Vec::with_capacity(finished.len());
-    for (data, evidence) in finished {
-        live.absorb(evidence);
-        datas.push(data);
+            // tft-lint: allow(hot-path-alloc, reason = "per-attempt scope setup: a handful of country codes per shard")
+            let scope = ProbeScope::shard(k, plan.clone());
+            let w = &mut shard_world;
+            let data = match exp {
+                Experiment::Dns => ExpData::Dns(dns_exp::run_shard(w, cfg, scope)),
+                Experiment::Http => ExpData::Http(http_exp::run_shard(w, cfg, scope)),
+                Experiment::Https => ExpData::Https(https_exp::run_shard(w, cfg, scope)),
+                Experiment::Monitor => ExpData::Monitor(monitor_exp::run_shard(w, cfg, scope)),
+            };
+            (data, shard_world.into_evidence(mark))
+        });
+    if !report.quarantined.is_empty() {
+        let detail: Vec<String> = report
+            .quarantined
+            .iter()
+            .map(|(i, msg)| {
+                let (exp, k, _) = &tasks[*i];
+                // tft-lint: allow(hot-path-alloc, reason = "failure path only: formatting quarantine details immediately before the wave aborts")
+                format!("{exp:?} shard {k} (task {i}): {msg}")
+            })
+            .collect();
+        panic!(
+            "supervised wave: {} task(s) poisoned after {} retries: {}",
+            detail.len(),
+            fault.max_retries,
+            detail.join("; ")
+        );
     }
 
-    let shard_count = plans.len();
-    let mut parts = datas.into_iter();
+    // Every task has a result (a poisoned wave panicked above). Absorb in
+    // task order (experiment-major, shard-minor) — the same canonical
+    // order regardless of worker count or how a driver splits its
+    // experiments into waves — and collect each experiment's shard
+    // datasets, in shard order, for its merge.
+    let (mut dns, mut http, mut https, mut monitor) = (vec![], vec![], vec![], vec![]);
+    for (data, evidence) in results.into_iter().flatten() {
+        live.absorb(evidence);
+        match data {
+            ExpData::Dns(d) => dns.push(d),
+            ExpData::Http(d) => http.push(d),
+            ExpData::Https(d) => https.push(d),
+            ExpData::Monitor(d) => monitor.push(d),
+        }
+    }
     experiments
         .iter()
-        .map(|&exp| {
-            let chunk = parts.by_ref().take(shard_count);
-            match exp {
-                Experiment::Dns => ExpData::Dns(merge_dns(
-                    chunk
-                        .map(|d| match d {
-                            ShardData::Dns(d) => d,
-                            _ => unreachable!("task order is experiment-major"),
-                        })
-                        .collect(),
-                )),
-                Experiment::Http => ExpData::Http(merge_http(
-                    chunk
-                        .map(|d| match d {
-                            ShardData::Http(d) => d,
-                            _ => unreachable!("task order is experiment-major"),
-                        })
-                        .collect(),
-                )),
-                Experiment::Https => ExpData::Https(merge_https(
-                    chunk
-                        .map(|d| match d {
-                            ShardData::Https(d) => d,
-                            _ => unreachable!("task order is experiment-major"),
-                        })
-                        .collect(),
-                )),
-                Experiment::Monitor => ExpData::Monitor(merge_monitor(
-                    chunk
-                        .map(|d| match d {
-                            ShardData::Monitor(d) => d,
-                            _ => unreachable!("task order is experiment-major"),
-                        })
-                        .collect(),
-                )),
-            }
+        .map(|exp| match exp {
+            Experiment::Dns => ExpData::Dns(merge_dns(std::mem::take(&mut dns))),
+            Experiment::Http => ExpData::Http(merge_http(std::mem::take(&mut http))),
+            Experiment::Https => ExpData::Https(merge_https(std::mem::take(&mut https))),
+            Experiment::Monitor => ExpData::Monitor(merge_monitor(std::mem::take(&mut monitor))),
         })
         .collect()
 }
@@ -455,6 +419,7 @@ pub(crate) fn merge_monitor(parts: Vec<MonitorDataset>) -> MonitorDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StudyConfig;
 
     fn cc(s: &str) -> CountryCode {
         CountryCode::new(s)
@@ -547,21 +512,11 @@ mod tests {
             Experiment::Monitor,
         ];
         let run = |workers: usize, deep_fork: bool| {
-            let mut world = worldgen::build(&worldgen::smoke_spec(7)).world;
-            let base = world.clone();
-            let mark = world.evidence_mark();
-            let out = run_wave(
-                &mut world, &base, &mark, &cfg, workers, &all, deep_fork, None,
-            );
-            let data: Vec<String> = out
-                .iter()
-                .map(|d| match d {
-                    ExpData::Dns(d) => format!("{d:?}"),
-                    ExpData::Http(d) => format!("{d:?}"),
-                    ExpData::Https(d) => format!("{d:?}"),
-                    ExpData::Monitor(d) => format!("{d:?}"),
-                })
-                .collect();
+            let world = worldgen::build(&worldgen::smoke_spec(7)).world;
+            let opts = ExecOptions::with_workers(workers);
+            let mut driver = StudyDriver::new(world, cfg.clone(), &opts);
+            let data = format!("{:?}", run_wave(&mut driver, &all, deep_fork));
+            let world = driver.world();
             (
                 data,
                 format!("{:?}", world.now()),

@@ -1,13 +1,18 @@
-//! Study orchestration: run all four experiments on a world and analyze
-//! the results.
+//! Study orchestration: [`StudyDriver`] runs all four experiments on a
+//! world and analyzes the results. It is the only orchestrator —
+//! [`run_study_with`] is a driver run to completion.
 //!
-//! Execution is sharded and parallel (see [`crate::exec`]): each
-//! experiment's population is partitioned by country, every
-//! (experiment × shard) pair forks the study-start world snapshot, and all
-//! of them drain through **one** work queue on [`substrate::pool`] worker
-//! threads — no barrier between experiments. The five analysis passes run
-//! concurrently afterwards. Output is byte-identical at any worker count —
-//! the worker knob trades wall-clock for cores, nothing else.
+//! Experiment stages execute as sharded, supervised waves on
+//! [`substrate::pool`] worker threads (see [`crate::exec`]): each
+//! experiment's population is partitioned by country, and every
+//! (experiment × shard) pair forks the study-start world snapshot.
+//! [`StudyDriver::run_to_completion`] queues every remaining experiment as
+//! **one** wave — no barrier between experiments, as the paper overlapped
+//! its measurement windows (§3) — and [`StudyDriver::step`] runs one stage
+//! per call, for callers that checkpoint or stream progress. The five
+//! analysis passes then run concurrently. Output is byte-identical at any
+//! worker count and however the stages are stepped — the worker knob
+//! trades wall-clock for cores, nothing else.
 
 use crate::analysis;
 use crate::config::StudyConfig;
@@ -17,7 +22,7 @@ use inetdb::{Asn, CountryCode};
 use netsim::SimTime;
 use proxynet::{EvidenceMark, World, ZId};
 use std::collections::BTreeSet;
-use substrate::pool::Pool;
+use substrate::pool::{FaultPolicy, Pool};
 
 /// Everything one full study run produces.
 pub struct StudyReport {
@@ -103,7 +108,9 @@ enum AnalysisOut {
     Coverage(Coverage),
 }
 
-/// [`run_study`] with explicit execution options (worker count).
+/// [`run_study`] with explicit execution options (worker count): a
+/// [`StudyDriver`] over `world`, run to completion, with the driven world
+/// moved back into `world`.
 ///
 /// The report is byte-identical for any `exec.workers`: shards and their
 /// seeds are fixed by the campaign plan, and results merge in canonical
@@ -113,107 +120,13 @@ pub fn run_study_with(
     cfg: &StudyConfig,
     exec_opts: &ExecOptions,
 ) -> StudyReport {
-    let started = world.now();
-    let workers = exec_opts.workers;
-
-    // Fork point for every shard of every experiment: the study-start
-    // snapshot. The clone is cheap (shared-`Arc` world, see
-    // [`proxynet::World`]); `mark` is where absorbed shard evidence starts.
-    let base = world.clone();
-    let mark = world.evidence_mark();
-    let mut waves = exec::run_wave(
-        world,
-        &base,
-        &mark,
-        cfg,
-        workers,
-        &[
-            Experiment::Dns,
-            Experiment::Http,
-            Experiment::Https,
-            Experiment::Monitor,
-        ],
-        false,
-        None,
-    )
-    .into_iter();
-    let (
-        Some(ExpData::Dns(dns_data)),
-        Some(ExpData::Http(http_data)),
-        Some(ExpData::Https(https_data)),
-        Some(ExpData::Monitor(monitor_data)),
-    ) = (waves.next(), waves.next(), waves.next(), waves.next())
-    else {
-        unreachable!("run_wave returns one dataset per requested experiment, in order");
-    };
-
-    analyze_into_report(
-        world,
-        cfg,
-        workers,
-        started,
-        dns_data,
-        http_data,
-        https_data,
-        monitor_data,
-    )
-}
-
-/// The shared back half of a study: run all analysis passes over the four
-/// merged datasets and assemble the report. Both [`run_study_with`] and
-/// [`StudyDriver`] end here, so the two entry points cannot drift.
-#[allow(clippy::too_many_arguments)]
-fn analyze_into_report(
-    world: &World,
-    cfg: &StudyConfig,
-    workers: usize,
-    started: SimTime,
-    dns_data: DnsDataset,
-    http_data: HttpDataset,
-    https_data: HttpsDataset,
-    monitor_data: MonitorDataset,
-) -> StudyReport {
-    // All four analysis passes (plus the coverage tally) are read-only over
-    // the merged datasets and the world; run them concurrently. Pool::run
-    // clamps workers to the task count itself and returns in index order,
-    // so destructuring below is deterministic.
-    let mut outs = Pool::new(workers).run(vec![0usize, 1, 2, 3, 4], |_, which| match which {
-        0 => AnalysisOut::Dns(analysis::dns::analyze(&dns_data, world, cfg)),
-        1 => AnalysisOut::Http(analysis::http::analyze(&http_data, world, cfg)),
-        2 => AnalysisOut::Https(analysis::https::analyze(&https_data, world, cfg)),
-        3 => AnalysisOut::Monitor(analysis::monitor::analyze(&monitor_data, world, cfg)),
-        _ => AnalysisOut::Coverage(coverage(
-            world,
-            &dns_data,
-            &http_data,
-            &https_data,
-            &monitor_data,
-        )),
-    });
-    let (
-        Some(AnalysisOut::Coverage(coverage)),
-        Some(AnalysisOut::Monitor(monitor)),
-        Some(AnalysisOut::Https(https)),
-        Some(AnalysisOut::Http(http)),
-        Some(AnalysisOut::Dns(dns)),
-    ) = (outs.pop(), outs.pop(), outs.pop(), outs.pop(), outs.pop())
-    else {
-        unreachable!("Pool::run returns results in index order");
-    };
-
-    StudyReport {
-        dns_data,
-        dns,
-        http_data,
-        http,
-        https_data,
-        https,
-        monitor_data,
-        monitor,
-        started,
-        finished: world.now(),
-        coverage,
-    }
+    // A shared-`Arc` fork (see [`proxynet::World`]); the driven world
+    // replaces it below.
+    let mut driver = StudyDriver::new(world.clone(), cfg.clone(), exec_opts);
+    driver.run_to_completion();
+    let (report, driven) = driver.into_parts();
+    *world = driven;
+    report
 }
 
 /// The stages of a study, in the order [`StudyDriver::step`] runs them.
@@ -247,22 +160,29 @@ impl StudyStage {
     }
 }
 
-/// [`run_study_with`], resumable one stage at a time.
+/// The experiment stages, in study order, with the experiment each runs.
+const EXPERIMENT_STAGES: [(StudyStage, Experiment); 4] = [
+    (StudyStage::Dns, Experiment::Dns),
+    (StudyStage::Http, Experiment::Http),
+    (StudyStage::Https, Experiment::Https),
+    (StudyStage::Monitor, Experiment::Monitor),
+];
+
+/// The study orchestrator: runs the pipeline as an explicit state machine
+/// over a world it owns.
 ///
-/// A server that wants to stream progress while a study runs cannot call
-/// [`run_study_with`] — it blocks until the whole study finishes. The driver
-/// owns the world and exposes the same pipeline as an explicit state
-/// machine: each [`step`](StudyDriver::step) runs exactly one stage
-/// (experiment or analysis), and after the last one the report is ready.
-/// Stepping through all stages produces a report **byte-identical** to
-/// [`run_study_with`] at the same worker count — every stage forks its
-/// shards from the same study-start snapshot the batch path uses and
-/// absorbs them in the same canonical order, so splitting the wave across
-/// steps cannot change a byte. The equivalence is pinned by a test.
+/// [`run_to_completion`](StudyDriver::run_to_completion) runs every
+/// remaining experiment stage as one wave, then analysis. A server that
+/// wants to stream progress or checkpoint between stages calls
+/// [`step`](StudyDriver::step) instead, which runs exactly one stage
+/// (experiment or analysis); after the last one the report is ready.
+/// Both produce a **byte-identical** report at the same worker count —
+/// every wave forks its shards from the same study-start snapshot and
+/// absorbs them in the same canonical order, so splitting the experiments
+/// across waves cannot change a byte. The equivalence is pinned by a test.
 pub struct StudyDriver {
     pub(crate) world: World,
-    /// The study-start snapshot every stage's shards fork from — the same
-    /// fork point [`run_study_with`]'s single wave uses.
+    /// The study-start snapshot every wave's shards fork from.
     pub(crate) base: World,
     /// Evidence high-water mark at study start, for shard absorption.
     pub(crate) mark: EvidenceMark,
@@ -275,14 +195,15 @@ pub struct StudyDriver {
     pub(crate) https_data: Option<HttpsDataset>,
     pub(crate) monitor_data: Option<MonitorDataset>,
     pub(crate) report: Option<StudyReport>,
-    /// Supervised-execution policy for stage waves; `None` runs stages
-    /// unsupervised (a task panic unwinds, the historical behaviour).
-    pub(crate) fault: Option<substrate::pool::FaultPolicy>,
+    /// Supervision policy for every experiment wave; zero retries unless
+    /// [`set_fault_policy`](StudyDriver::set_fault_policy) says otherwise.
+    pub(crate) fault: FaultPolicy,
 }
 
 impl StudyDriver {
     /// Start a driver over `world`. No work happens until
-    /// [`step`](StudyDriver::step) is called.
+    /// [`step`](StudyDriver::step) or
+    /// [`run_to_completion`](StudyDriver::run_to_completion) is called.
     pub fn new(world: World, cfg: StudyConfig, exec_opts: &ExecOptions) -> StudyDriver {
         let started = world.now();
         let base = world.clone();
@@ -300,17 +221,17 @@ impl StudyDriver {
             https_data: None,
             monitor_data: None,
             report: None,
-            fault: None,
+            fault: FaultPolicy::default(),
         }
     }
 
-    /// Run stage waves under supervision: per-task panics are contained and
-    /// retried per `policy` instead of unwinding (see
-    /// [`substrate::pool::Pool::run_supervised`]). Retries re-fork their
-    /// shard from the study-start snapshot, so a stage where a shard
-    /// succeeded on retry `k` is byte-identical to a fault-free stage.
-    pub fn set_fault_policy(&mut self, policy: substrate::pool::FaultPolicy) {
-        self.fault = Some(policy);
+    /// Retry panicking shards per `policy` instead of failing on the first
+    /// panic (see [`substrate::pool::Pool::run_supervised`]). Retries
+    /// re-fork their shard from the study-start snapshot, so a stage where
+    /// a shard succeeded on retry `k` is byte-identical to a fault-free
+    /// stage.
+    pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
+        self.fault = policy;
     }
 
     /// The stage the next [`step`](StudyDriver::step) will run, or
@@ -329,83 +250,100 @@ impl StudyDriver {
     pub fn step(&mut self) -> StudyStage {
         let stage = self.next;
         match stage {
-            StudyStage::Dns => {
-                let ExpData::Dns(d) = self.run_stage(Experiment::Dns) else {
-                    unreachable!("run_wave returns the requested experiment");
-                };
-                self.dns_data = Some(d);
-                self.next = StudyStage::Http;
-            }
-            StudyStage::Http => {
-                let ExpData::Http(d) = self.run_stage(Experiment::Http) else {
-                    unreachable!("run_wave returns the requested experiment");
-                };
-                self.http_data = Some(d);
-                self.next = StudyStage::Https;
-            }
-            StudyStage::Https => {
-                let ExpData::Https(d) = self.run_stage(Experiment::Https) else {
-                    unreachable!("run_wave returns the requested experiment");
-                };
-                self.https_data = Some(d);
-                self.next = StudyStage::Monitor;
-            }
-            StudyStage::Monitor => {
-                let ExpData::Monitor(d) = self.run_stage(Experiment::Monitor) else {
-                    unreachable!("run_wave returns the requested experiment");
-                };
-                self.monitor_data = Some(d);
-                self.next = StudyStage::Analyze;
-            }
-            StudyStage::Analyze => {
-                let (Some(dns), Some(http), Some(https), Some(monitor)) = (
-                    self.dns_data.take(),
-                    self.http_data.take(),
-                    self.https_data.take(),
-                    self.monitor_data.take(),
-                ) else {
-                    unreachable!("experiment stages run before Analyze");
-                };
-                self.report = Some(analyze_into_report(
-                    &self.world,
-                    &self.cfg,
-                    self.workers,
-                    self.started,
-                    dns,
-                    http,
-                    https,
-                    monitor,
-                ));
-                self.next = StudyStage::Done;
-            }
+            StudyStage::Analyze => self.analyze(),
             StudyStage::Done => {}
+            _ => self.run_experiments(stage),
         }
         stage
     }
 
-    /// Run one experiment as a single-entry wave: shards fork from the
-    /// study-start snapshot and absorb into the live world exactly as the
-    /// batch path's combined wave would.
-    fn run_stage(&mut self, exp: Experiment) -> ExpData {
-        exec::run_wave(
-            &mut self.world,
-            &self.base,
-            &self.mark,
-            &self.cfg,
-            self.workers,
-            &[exp],
-            false,
-            self.fault.as_ref(),
-        )
-        .pop()
-        .expect("run_wave returns one dataset per requested experiment")
+    /// Run every remaining stage: the pending experiment stages as one
+    /// wave, then analysis.
+    pub fn run_to_completion(&mut self) {
+        self.run_experiments(StudyStage::Monitor);
+        self.step(); // Analyze, or nothing once Done
     }
 
-    /// Run every remaining stage.
-    pub fn run_to_completion(&mut self) {
-        while !self.is_done() {
-            self.step();
+    /// Run the experiment stages `next..=last` as one wave and keep their
+    /// merged datasets. A no-op when none is pending.
+    fn run_experiments(&mut self, last: StudyStage) {
+        let wave: Vec<Experiment> = EXPERIMENT_STAGES
+            .iter()
+            .filter(|(stage, _)| (self.next..=last).contains(stage))
+            .map(|&(_, exp)| exp)
+            .collect();
+        if wave.is_empty() {
+            return;
         }
+        for data in exec::run_wave(self, &wave, false) {
+            match data {
+                ExpData::Dns(d) => self.dns_data = Some(d),
+                ExpData::Http(d) => self.http_data = Some(d),
+                ExpData::Https(d) => self.https_data = Some(d),
+                ExpData::Monitor(d) => self.monitor_data = Some(d),
+            }
+        }
+        self.next = EXPERIMENT_STAGES
+            .iter()
+            .map(|&(stage, _)| stage)
+            .find(|&stage| stage > last)
+            .unwrap_or(StudyStage::Analyze);
+    }
+
+    /// The Analyze stage: every analysis pass over the four merged
+    /// datasets, then the report.
+    fn analyze(&mut self) {
+        let (Some(dns_data), Some(http_data), Some(https_data), Some(monitor_data)) = (
+            self.dns_data.take(),
+            self.http_data.take(),
+            self.https_data.take(),
+            self.monitor_data.take(),
+        ) else {
+            unreachable!("experiment stages run before Analyze");
+        };
+        let (world, cfg) = (&self.world, &self.cfg);
+        // All four analysis passes (plus the coverage tally) are read-only
+        // over the merged datasets and the world; run them concurrently.
+        // Pool::run clamps workers to the task count itself and returns in
+        // index order, so destructuring below is deterministic.
+        let mut outs =
+            Pool::new(self.workers).run(vec![0usize, 1, 2, 3, 4], |_, which| match which {
+                0 => AnalysisOut::Dns(analysis::dns::analyze(&dns_data, world, cfg)),
+                1 => AnalysisOut::Http(analysis::http::analyze(&http_data, world, cfg)),
+                2 => AnalysisOut::Https(analysis::https::analyze(&https_data, world, cfg)),
+                3 => AnalysisOut::Monitor(analysis::monitor::analyze(&monitor_data, world, cfg)),
+                _ => AnalysisOut::Coverage(coverage(
+                    world,
+                    &dns_data,
+                    &http_data,
+                    &https_data,
+                    &monitor_data,
+                )),
+            });
+        let (
+            Some(AnalysisOut::Coverage(coverage)),
+            Some(AnalysisOut::Monitor(monitor)),
+            Some(AnalysisOut::Https(https)),
+            Some(AnalysisOut::Http(http)),
+            Some(AnalysisOut::Dns(dns)),
+        ) = (outs.pop(), outs.pop(), outs.pop(), outs.pop(), outs.pop())
+        else {
+            unreachable!("Pool::run returns results in index order");
+        };
+        self.report = Some(StudyReport {
+            dns_data,
+            dns,
+            http_data,
+            http,
+            https_data,
+            https,
+            monitor_data,
+            monitor,
+            started: self.started,
+            finished: self.world.now(),
+            coverage,
+        });
+        self.next = StudyStage::Done;
     }
 
     /// The finished report, once [`is_done`](StudyDriver::is_done).

@@ -1,8 +1,14 @@
-//! `StudyDriver` is `run_study_with`, resumable: stepping through every
-//! stage must reproduce the monolithic entry point byte-for-byte, at any
-//! worker count, including the world-side effects (billing, server logs).
+//! `run_study_with` is a `StudyDriver` run to completion, which runs the
+//! four experiments as one combined wave. Stepping the driver one stage at
+//! a time runs one wave per experiment instead, and must reproduce the
+//! combined wave byte-for-byte, at any worker count, including the
+//! world-side effects (billing, server logs).
 
-use tft_core::{render_tables, run_study_with, ExecOptions, StudyConfig, StudyDriver, StudyStage};
+use substrate::pool::{FaultInjector, FaultPolicy};
+use tft_core::report::figures::figure5;
+use tft_core::{
+    render_annex, render_tables, run_study_with, ExecOptions, StudyConfig, StudyDriver, StudyStage,
+};
 use worldgen::{build, smoke_spec};
 
 const SEED: u64 = 0x5E4E;
@@ -66,7 +72,9 @@ fn driver_matches_run_study_with_exactly() {
             cfg.clone(),
             &ExecOptions::with_workers(workers),
         );
-        driver.run_to_completion();
+        while !driver.is_done() {
+            driver.step();
+        }
         let (report, world) = driver.into_parts();
         let stepped = (
             render_tables(&report),
@@ -77,7 +85,7 @@ fn driver_matches_run_study_with_exactly() {
         assert_eq!(
             stepped,
             monolithic(workers),
-            "driver diverged from run_study_with at workers={workers}"
+            "single-stage waves diverged from the combined wave at workers={workers}"
         );
     }
 }
@@ -88,4 +96,36 @@ fn into_parts_before_completion_panics() {
     let built = build(&smoke_spec(SEED));
     let driver = StudyDriver::new(built.world, smoke_cfg(), &ExecOptions::with_workers(1));
     let _ = driver.into_parts();
+}
+
+#[test]
+#[should_panic(expected = "poisoned after 0 retries: Dns shard 0 (task 0)")]
+fn a_shard_that_keeps_panicking_aborts_the_study_naming_it() {
+    let built = build(&smoke_spec(SEED));
+    let mut driver = StudyDriver::new(built.world, smoke_cfg(), &ExecOptions::with_workers(2));
+    driver.set_fault_policy(
+        FaultPolicy::retries(0).with_injector(FaultInjector::seeded(SEED, 1000, 1)),
+    );
+    driver.step();
+}
+
+/// The rendered smoke study at `SEED` — tables, annex and the Figure 5
+/// delay plot — pinned. A refactor of the execution path must leave it
+/// alone; a change that alters study output on purpose re-pins it and
+/// says why.
+#[test]
+fn smoke_report_digest_is_pinned() {
+    let mut built = build(&smoke_spec(SEED));
+    let cfg = smoke_cfg();
+    let report = run_study_with(&mut built.world, &cfg, &ExecOptions::with_workers(2));
+    let rendered = format!(
+        "{}{}{}",
+        render_tables(&report),
+        render_annex(&report, &cfg),
+        figure5(&report.monitor)
+    );
+    assert_eq!(
+        format!("{:#018x}", substrate::stable64(rendered.as_bytes())),
+        "0x8adfe6b13c4b05cc"
+    );
 }

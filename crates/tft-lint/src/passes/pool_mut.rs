@@ -5,8 +5,8 @@
 //! practice are all *shared mutable state smuggled into the task closure*:
 //!
 //! - interior-mutability types (`RefCell`, `Cell`, `Mutex`, `RwLock`,
-//!   `Atomic*`) touched inside a `pool::par_map` / `thread::scope` task
-//!   closure — update order depends on scheduling;
+//!   `Atomic*`) touched inside a `pool::par_map` / `Pool::run_supervised`
+//!   / `thread::scope` task closure — update order depends on scheduling;
 //! - a captured `&mut` reference crossing the closure boundary — mutation
 //!   order depends on scheduling (locals declared *inside* the closure are
 //!   exempted by a conservative binding scan);
@@ -37,7 +37,7 @@ impl Pass for PoolSharedMut {
 
     fn description(&self) -> &'static str {
         "forbid RefCell/Cell/Mutex/RwLock/Atomic*, captured &mut, and unforked \
-         RNGs inside pool::par_map / thread::scope task closures"
+         RNGs inside pool::par_map / Pool::run_supervised / thread::scope task closures"
     }
 
     fn applies(&self, file: &SourceFile) -> bool {
@@ -173,7 +173,9 @@ fn is_pool_boundary(path: &[String], method: bool) -> bool {
     let Some(name) = path.last() else {
         return false;
     };
-    if name == "par_map" {
+    // `run_supervised` is the study executor's only pool entry (every
+    // experiment wave); the name is specific enough to match as a method.
+    if name == "par_map" || name == "run_supervised" {
         return true;
     }
     // `thread::scope` / `std::thread::scope`, but not an arbitrary

@@ -511,6 +511,26 @@ fn pool_shared_mut_fires_on_unforked_rng_and_captured_mut() {
 }
 
 #[test]
+fn pool_shared_mut_fires_in_supervised_task_closure() {
+    let f = SourceFile::rust(
+        "crates/x/src/lib.rs",
+        "x",
+        r#"
+        pub fn run(rng: &mut SimRng, tasks: Vec<u64>) {
+            let (out, report) = Pool::new(4).run_supervised(&tasks, &policy, |_, i| {
+                rng.random_range(0..*i)
+            });
+        }
+        "#,
+    );
+    let hits = lint(&[f]);
+    assert!(
+        hits.iter().any(|h| h.starts_with("pool-shared-mut:")),
+        "got {hits:?}"
+    );
+}
+
+#[test]
 fn pool_shared_mut_silent_on_forked_rng_and_owned_state() {
     // The disciplined form: per-task state moves in, RNG is forked per
     // shard — nothing crosses the boundary mutably.
