@@ -22,14 +22,11 @@
 //! makes the pool safe to use in environments where spawning is costly.
 
 use crate::rng::mix64;
-use std::cell::UnsafeCell;
-use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::thread;
 
-/// Hooks bracketing the pool's own setup work: slot-vector construction
+/// Hooks bracketing the pool's own setup work: result-buffer construction
 /// and worker spawning, which run on the calling thread and scale with the
 /// worker count. Instrumentation (the bench allocator's accounting run)
 /// registers these to exclude pool-internal bookkeeping from per-run
@@ -47,78 +44,6 @@ type SetupObserver = (fn(), fn());
 pub fn set_setup_observer(enter: fn(), exit: fn()) -> bool {
     SETUP_OBSERVER.set((enter, exit)).is_ok()
 }
-
-/// A slot owned by exactly one claimant at a time.
-///
-/// The pool's atomic cursor hands out each slot index exactly once, so the
-/// claiming worker has exclusive access to its input slot, and only that
-/// worker ever writes the matching output slot. That claim discipline is
-/// what makes the raw `UnsafeCell` sound — there is no lock because there
-/// is no contention to arbitrate: the cursor's `fetch_add` is the unique
-/// point of synchronization, and `thread::scope`'s join provides the
-/// happens-before edge for the collector's reads. The previous
-/// implementation paid a `Mutex` lock/unlock per slot per task purely to
-/// satisfy the type system; with fine-grained work units (hundreds of tiny
-/// tasks) that overhead was measurable.
-struct Slot<T>(UnsafeCell<Option<T>>);
-
-// SAFETY: a Slot is only ever accessed by the worker that claimed its index
-// from the cursor (exactly once), or by the collector after all workers have
-// been joined.
-#[allow(unsafe_code)]
-unsafe impl<T: Send> Sync for Slot<T> {}
-
-#[allow(unsafe_code)]
-impl<T> Slot<T> {
-    fn filled(value: T) -> Self {
-        Slot(UnsafeCell::new(Some(value)))
-    }
-
-    fn empty() -> Self {
-        Slot(UnsafeCell::new(None))
-    }
-
-    /// Take the value out. Caller must be the slot's unique claimant (or
-    /// the post-join collector).
-    unsafe fn take(&self) -> Option<T> {
-        (*self.0.get()).take()
-    }
-
-    /// Fill the slot. Caller must be the slot's unique claimant.
-    unsafe fn fill(&self, value: T) {
-        *self.0.get() = Some(value);
-    }
-
-    /// Post-join drain: the filled value, or the named supervisor error
-    /// identifying which result slot wedged and why. Caller must be the
-    /// post-join collector (sole remaining accessor).
-    unsafe fn drain(&self, index: usize) -> Result<T, SlotWedged> {
-        self.take().ok_or(SlotWedged {
-            index,
-            reason: "worker claimed the task but never filled its result slot",
-        })
-    }
-}
-
-/// Supervisor error: a result slot was never filled after every worker
-/// joined. This indicates a pool-internal invariant break (a task index was
-/// claimed but its output slot stayed empty), not a task failure — task
-/// panics are caught and carried through the slot as payloads.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlotWedged {
-    /// Task index whose result slot was empty at collection time.
-    pub index: usize,
-    /// Supervisor diagnosis of the wedge.
-    pub reason: &'static str,
-}
-
-impl fmt::Display for SlotWedged {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "pool result slot {} wedged: {}", self.index, self.reason)
-    }
-}
-
-impl std::error::Error for SlotWedged {}
 
 /// A fixed-size scoped worker pool.
 ///
@@ -149,14 +74,13 @@ impl Pool {
     ///
     /// `task` is called as `task(index, item)`. With one worker the tasks
     /// run inline on the calling thread in index order; with more, workers
-    /// claim indices from a shared counter — the *assignment* of tasks to
-    /// workers is nondeterministic, but the returned `Vec` is always in
-    /// index order, so callers cannot observe it.
+    /// claim `(index, item)` pairs from one shared queue — the *assignment*
+    /// of tasks to workers is nondeterministic, but the returned `Vec` is
+    /// always in index order, so callers cannot observe it.
     ///
     /// # Panics
     /// If one or more tasks panic, re-raises the payload of the
     /// lowest-indexed panicking task after all workers have stopped.
-    #[allow(unsafe_code)]
     pub fn run<T, R, F>(self, items: Vec<T>, task: F) -> Vec<R>
     where
         T: Send,
@@ -176,58 +100,52 @@ impl Pool {
         if let Some((enter, _)) = observer {
             enter();
         }
-        // Each slot index is claimed exactly once via the atomic cursor,
-        // then drained/filled lock-free by the claiming worker (see
-        // [`Slot`]). Slots hold Options so results can be moved out without
-        // `R: Default`.
-        let inputs: Vec<Slot<T>> = items.into_iter().map(Slot::filled).collect();
-        let outputs: Vec<Slot<thread::Result<R>>> = (0..n).map(|_| Slot::empty()).collect();
-        let cursor = AtomicUsize::new(0);
-        let task = &task;
-        let inputs = &inputs;
-        let outputs = &outputs;
-        let cursor = &cursor;
-
-        thread::scope(|s| {
-            for _ in 0..self.workers.min(n) {
-                s.spawn(move || loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        return;
-                    }
-                    // SAFETY: `fetch_add` handed index `i` to this worker
-                    // alone, so it is the unique accessor of both slots
-                    // until the scope joins.
-                    let item = unsafe { inputs[i].take() }.expect("pool task claimed twice");
-                    // Tasks are required to be panic-safe by contract: a
-                    // panicking task's partial effects are confined to its
-                    // own inputs, which are dropped with the payload.
-                    let result = panic::catch_unwind(AssertUnwindSafe(|| task(i, item)));
-                    unsafe { outputs[i].fill(result) };
-                });
-            }
+        let queue = Mutex::new(items.into_iter().enumerate());
+        let (task, queue) = (&task, &queue);
+        let mut outcomes = thread::scope(|s| {
+            let workers: Vec<_> = (0..self.workers.min(n))
+                .map(|_| {
+                    // Sized for every task, and built here inside the setup
+                    // window, so a worker never grows it mid-run.
+                    let mut done: Vec<(usize, thread::Result<R>)> = Vec::with_capacity(n);
+                    s.spawn(move || loop {
+                        // The lock is held only to advance the iterator,
+                        // which cannot panic, so it is never poisoned.
+                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                        let Some((i, item)) = next else {
+                            return done;
+                        };
+                        // Tasks are required to be panic-safe by contract: a
+                        // panicking task's partial effects are confined to its
+                        // own inputs, which are dropped with the payload.
+                        done.push((i, panic::catch_unwind(AssertUnwindSafe(|| task(i, item)))));
+                    })
+                })
+                .collect();
             // Setup ends here: every worker is spawned and the calling
-            // thread only blocks on the implicit join from this point.
+            // thread only joins from this point.
             if let Some((_, exit)) = observer {
                 exit();
             }
+            // Pool the per-worker outcomes into the first worker's buffer,
+            // which has room for all `n` of them.
+            let mut joined = workers.into_iter().map(|w| match w.join() {
+                Ok(done) => done,
+                Err(payload) => panic::resume_unwind(payload),
+            });
+            let mut outcomes = joined.next().expect("a threaded run spawns workers");
+            joined.for_each(|done| outcomes.extend(done));
+            outcomes
         });
+        outcomes.sort_unstable_by_key(|&(i, _)| i);
 
         let mut results = Vec::with_capacity(n);
         let mut first_panic = None;
-        for (i, slot) in outputs.iter().enumerate() {
-            // SAFETY: every worker has been joined by `thread::scope`, so
-            // the collector is the only accessor left.
-            let result = match unsafe { slot.drain(i) } {
-                Ok(result) => result,
-                Err(wedged) => panic::panic_any(wedged),
-            };
-            match result {
+        for (_, outcome) in outcomes {
+            match outcome {
                 Ok(r) => results.push(r),
                 Err(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
+                    first_panic.get_or_insert(payload);
                 }
             }
         }
@@ -518,34 +436,39 @@ mod tests {
 
     #[test]
     fn setup_observer_brackets_setup_on_the_calling_thread() {
-        use std::sync::atomic::AtomicU32;
-        static ENTERS: AtomicU32 = AtomicU32::new(0);
-        static EXITS: AtomicU32 = AtomicU32::new(0);
+        use std::cell::Cell;
+        // The hooks fire on the calling thread, so thread-local counters
+        // see only this test's pool runs, never those of tests running
+        // concurrently on other threads.
+        thread_local! {
+            static ENTERS: Cell<u32> = const { Cell::new(0) };
+            static EXITS: Cell<u32> = const { Cell::new(0) };
+        }
         fn enter() {
-            ENTERS.fetch_add(1, Ordering::SeqCst);
+            ENTERS.with(|c| c.set(c.get() + 1));
         }
         fn exit() {
-            EXITS.fetch_add(1, Ordering::SeqCst);
+            EXITS.with(|c| c.set(c.get() + 1));
         }
         // First registration wins; the process-wide hook stays set.
         let first = set_setup_observer(enter, exit);
         let second = set_setup_observer(enter, exit);
         assert!(!second || first, "second registration must not override");
-        let before_e = ENTERS.load(Ordering::SeqCst);
-        let before_x = EXITS.load(Ordering::SeqCst);
+        let before_e = ENTERS.with(Cell::get);
+        let before_x = EXITS.with(Cell::get);
         // Inline path (single worker): no setup, observer must not fire.
         let out = Pool::new(1).run(vec![1, 2, 3], |_, x| x * 2);
         assert_eq!(out, vec![2, 4, 6]);
         if first {
-            assert_eq!(ENTERS.load(Ordering::SeqCst), before_e);
-            assert_eq!(EXITS.load(Ordering::SeqCst), before_x);
+            assert_eq!(ENTERS.with(Cell::get), before_e);
+            assert_eq!(EXITS.with(Cell::get), before_x);
         }
         // Threaded path: exactly one enter/exit pair per run.
         let out = Pool::new(4).run(vec![1, 2, 3, 4], |_, x| x + 1);
         assert_eq!(out, vec![2, 3, 4, 5]);
         if first {
-            assert_eq!(ENTERS.load(Ordering::SeqCst), before_e + 1);
-            assert_eq!(EXITS.load(Ordering::SeqCst), before_x + 1);
+            assert_eq!(ENTERS.with(Cell::get), before_e + 1);
+            assert_eq!(EXITS.with(Cell::get), before_x + 1);
         }
     }
 
@@ -599,23 +522,6 @@ mod tests {
                 .unwrap_or_else(|| "non-string payload".into());
             assert_eq!(msg, "task 3 failed", "workers={workers}");
         }
-    }
-
-    #[test]
-    fn wedged_slot_reports_index_and_reason() {
-        // Regression for the old anonymous `panic!("pool task {i} produced
-        // no result")`: the drain path must surface a named error carrying
-        // the slot index and a diagnosis.
-        let slot: Slot<u32> = Slot::empty();
-        // SAFETY: freshly constructed local slot; this thread is the only
-        // accessor.
-        #[allow(unsafe_code)]
-        let err = unsafe { slot.drain(5) }.expect_err("empty slot must wedge");
-        assert_eq!(err.index, 5);
-        assert!(err.reason.contains("never filled"));
-        let shown = err.to_string();
-        assert!(shown.contains("slot 5"), "display: {shown}");
-        assert!(shown.contains("wedged"), "display: {shown}");
     }
 
     #[test]

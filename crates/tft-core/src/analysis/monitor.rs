@@ -95,7 +95,7 @@ pub struct DiscoveryScan {
 }
 
 /// Scan a web log for the §7.1 anomaly across domains matching
-/// `is_probe_host` (e.g. the DNS experiment's `d1-*` names).
+/// `is_probe_host` (e.g. the DNS experiment's shard-tagged `s{k}-d1-*` names).
 pub fn discovery_scan<'a>(
     log: impl Iterator<Item = &'a proxynet::WebLogEntry>,
     is_probe_host: impl Fn(&str) -> bool,

@@ -27,6 +27,7 @@
 //! checkpoint rather than checkpoint wrongly.
 
 use crate::config::StudyConfig;
+use crate::dns_exp::DnsExpOptions;
 use crate::exec::ExecOptions;
 use crate::obs::{
     CertProbe, DnsDataset, DnsObservation, DnsOutcome, HttpDataset, HttpObservation, HttpsDataset,
@@ -298,6 +299,7 @@ impl StudyDriver {
             monitor_data: cp.monitor_data.clone(),
             report: None,
             fault: FaultPolicy::default(),
+            dns_opts: DnsExpOptions::default(),
         })
     }
 }

@@ -14,7 +14,7 @@
 use crate::config::StudyConfig;
 use crate::crawl::Sampler;
 use crate::ethics::ByteBudget;
-use crate::exec::ProbeScope;
+use crate::exec::{self, ExpData, Experiment, ProbeScope};
 use crate::obs::{DnsDataset, DnsObservation, DnsOutcome};
 use crate::quality::{DataQuality, ProbeOutcome};
 use dnswire::{server::inetdb_net::Net, AnswerOverride};
@@ -75,23 +75,26 @@ pub struct DnsExpOptions {
 }
 
 /// Run the experiment until saturation or budget exhaustion.
+///
+/// A direct run is a one-experiment wave (see [`crate::exec`]) and returns
+/// exactly the study stage's dataset. Probe names carry the shard tag
+/// (`s{k}-…`), and events still pending when a shard ends (refetches
+/// scheduled past its last probe) are dropped with the shard world.
 pub fn run(world: &mut World, cfg: &StudyConfig) -> DnsDataset {
     run_with(world, cfg, DnsExpOptions::default())
 }
 
-/// Run with explicit methodology options (ablations).
+/// [`run`] with explicit methodology options (ablations).
 pub fn run_with(world: &mut World, cfg: &StudyConfig, exp_opts: DnsExpOptions) -> DnsDataset {
-    let scope = ProbeScope::full(world);
-    run_scoped(world, cfg, exp_opts, scope)
+    let ExpData::Dns(data) = exec::run_direct(world, cfg, Experiment::Dns, exp_opts) else {
+        unreachable!("a DNS wave merges a DNS dataset");
+    };
+    data
 }
 
-/// Run one population shard (parallel executor entry point).
-pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> DnsDataset {
-    run_scoped(world, cfg, DnsExpOptions::default(), scope)
-}
-
+/// Run one population shard of the experiment (a wave task).
 // tft-lint: hot-root — per-probe DNS experiment loop
-fn run_scoped(
+pub(crate) fn run_shard(
     world: &mut World,
     cfg: &StudyConfig,
     exp_opts: DnsExpOptions,

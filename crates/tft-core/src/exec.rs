@@ -26,7 +26,11 @@
 //!   immediately starts an HTTP shard; the paper's experiments ran in
 //!   overlapping windows (§3), so the overlap is faithful, not a shortcut.
 //!   [`crate::StudyDriver::step`] queues one experiment per wave, for
-//!   callers that checkpoint or report progress between stages.
+//!   callers that checkpoint or report progress between stages. A direct
+//!   [`crate::dns_exp::run`] (or `http_exp`, `https_exp`, `monitor_exp`)
+//!   call is a one-experiment wave on a driver of its own, so every
+//!   experiment run in the crate takes this one path and a direct run
+//!   returns exactly the dataset the study's matching stage does.
 //! - Every wave is supervised ([`substrate::pool::Pool::run_supervised`])
 //!   under the driver's [`substrate::pool::FaultPolicy`], zero retries by
 //!   default: a shard that panics is retried from the pristine snapshot,
@@ -41,6 +45,8 @@
 //! lightest shard, ties broken by country code and shard index), which is
 //! deterministic and keeps shard workloads balanced.
 
+use crate::config::StudyConfig;
+use crate::dns_exp::DnsExpOptions;
 use crate::obs::{DnsDataset, HttpDataset, HttpsDataset, MonitorDataset};
 use crate::study::StudyDriver;
 use crate::{dns_exp, http_exp, https_exp, monitor_exp};
@@ -92,54 +98,38 @@ impl Default for ExecOptions {
     }
 }
 
-/// The sampling scope an experiment runs under: which slice of the
-/// population it crawls, how its probe artifacts are namespaced, and where
-/// its randomness comes from.
+/// The sampling scope one shard of an experiment runs under: which slice
+/// of the population it crawls, how its probe artifacts are namespaced,
+/// and where its randomness comes from.
 #[derive(Debug, Clone)]
 pub(crate) struct ProbeScope {
     /// Reported per-country exit counts visible to this scope's sampler.
     pub counts: Vec<(CountryCode, usize)>,
-    /// Prefix for per-probe DNS labels (empty for the unsharded path, so
-    /// direct `run()` callers keep their exact historical probe names).
+    /// Prefix for per-probe DNS labels (`s{k}-`), so probe names from
+    /// different shards never collide in the merged logs.
     pub tag: String,
     /// First session number the sampler hands out.
     pub session_base: u64,
-    /// Shard index, when sharded.
-    shard: Option<u64>,
+    /// Shard index.
+    shard: u64,
 }
 
 impl ProbeScope {
-    /// The whole-population scope — reproduces the unsharded experiments
-    /// byte-for-byte.
-    pub fn full(world: &World) -> Self {
-        ProbeScope {
-            counts: world.reported_country_counts(),
-            tag: String::new(),
-            session_base: 1,
-            shard: None,
-        }
-    }
-
     /// The scope for shard `index` covering `counts`.
     pub fn shard(index: usize, counts: Vec<(CountryCode, usize)>) -> Self {
         ProbeScope {
             counts,
             tag: format!("s{index}-"),
             session_base: 1 + index as u64 * SESSION_STRIDE,
-            shard: Some(index as u64),
+            shard: index as u64,
         }
     }
 
     /// Derive an RNG for this scope from virtual time and an experiment
-    /// salt. Unsharded scopes get the experiment's historical stream;
-    /// shards get an independent label-fork of it. Thread identity never
-    /// enters the derivation.
+    /// salt, label-forked by the shard index. Thread identity never enters
+    /// the derivation.
     pub fn rng(&self, t0_millis: u64, salt: u64) -> SimRng {
-        let rng = SimRng::new(t0_millis ^ salt);
-        match self.shard {
-            Some(k) => rng.fork_indexed("shard", k),
-            None => rng,
-        }
+        SimRng::new(t0_millis ^ salt).fork_indexed("shard", self.shard)
     }
 }
 
@@ -262,6 +252,7 @@ pub(crate) fn run_wave(
         ref cfg,
         workers,
         ref fault,
+        dns_opts,
         ..
     } = *driver;
     let plans = plan_shards(&base.reported_country_counts(), SHARD_COUNT);
@@ -286,7 +277,7 @@ pub(crate) fn run_wave(
             let scope = ProbeScope::shard(k, plan.clone());
             let w = &mut shard_world;
             let data = match exp {
-                Experiment::Dns => ExpData::Dns(dns_exp::run_shard(w, cfg, scope)),
+                Experiment::Dns => ExpData::Dns(dns_exp::run_shard(w, cfg, dns_opts, scope)),
                 Experiment::Http => ExpData::Http(http_exp::run_shard(w, cfg, scope)),
                 Experiment::Https => ExpData::Https(https_exp::run_shard(w, cfg, scope)),
                 Experiment::Monitor => ExpData::Monitor(monitor_exp::run_shard(w, cfg, scope)),
@@ -335,6 +326,26 @@ pub(crate) fn run_wave(
             Experiment::Monitor => ExpData::Monitor(merge_monitor(std::mem::take(&mut monitor))),
         })
         .collect()
+}
+
+/// Run one experiment on `world` exactly as the study runs it: the world
+/// moves into a [`StudyDriver`] (a shared-`Arc` fork), the experiment runs
+/// as one supervised wave of its shards, and the driven world — every
+/// shard's evidence absorbed — moves back into `world`. The body of every
+/// public `*_exp::run`; `dns_opts` reaches the DNS shards only.
+pub(crate) fn run_direct(
+    world: &mut World,
+    cfg: &StudyConfig,
+    exp: Experiment,
+    dns_opts: DnsExpOptions,
+) -> ExpData {
+    let mut driver = StudyDriver::new(world.clone(), cfg.clone(), &ExecOptions::default());
+    driver.dns_opts = dns_opts;
+    let data = run_wave(&mut driver, &[exp], false)
+        .pop()
+        .expect("a one-experiment wave merges one dataset");
+    *world = driver.world;
+    data
 }
 
 /// Merge per-shard DNS datasets: counters sum, observations re-sorted into
@@ -388,7 +399,7 @@ pub(crate) fn merge_https(parts: Vec<HttpsDataset>) -> HttpsDataset {
 }
 
 /// Merge per-shard monitoring datasets (canonical probe-domain order, the
-/// same invariant the unsharded experiment maintains).
+/// order every shard maintains).
 pub(crate) fn merge_monitor(parts: Vec<MonitorDataset>) -> MonitorDataset {
     let mut merged = MonitorDataset::default();
     let mut window: Option<u64> = None;
@@ -419,7 +430,6 @@ pub(crate) fn merge_monitor(parts: Vec<MonitorDataset>) -> MonitorDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::StudyConfig;
 
     fn cc(s: &str) -> CountryCode {
         CountryCode::new(s)

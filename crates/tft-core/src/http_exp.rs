@@ -8,8 +8,9 @@
 
 use crate::config::StudyConfig;
 use crate::crawl::Sampler;
+use crate::dns_exp::DnsExpOptions;
 use crate::ethics::ByteBudget;
-use crate::exec::ProbeScope;
+use crate::exec::{self, ExpData, Experiment, ProbeScope};
 use crate::obs::{HttpDataset, HttpObservation, ObjectResult, ProbeObject, Quarantine};
 use crate::quality::{delivery_outcome, DataQuality, ProbeOutcome};
 use httpwire::{Response, Uri};
@@ -252,18 +253,22 @@ fn measure_rest(
 
 /// Run the experiment: phase-1 AS coverage, then phase-2 revisits of
 /// flagged ASes.
+///
+/// A direct run is a one-experiment wave (see [`crate::exec`]) and returns
+/// exactly the study stage's dataset. Probe names carry the shard tag
+/// (`s{k}-…`), and events still pending when a shard ends (refetches
+/// scheduled past its last probe) are dropped with the shard world.
 pub fn run(world: &mut World, cfg: &StudyConfig) -> HttpDataset {
-    let scope = ProbeScope::full(world);
-    run_scoped(world, cfg, scope)
+    let dns_opts = DnsExpOptions::default();
+    let ExpData::Http(data) = exec::run_direct(world, cfg, Experiment::Http, dns_opts) else {
+        unreachable!("a HTTP wave merges a HTTP dataset");
+    };
+    data
 }
 
-/// Run one population shard (parallel executor entry point).
-pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> HttpDataset {
-    run_scoped(world, cfg, scope)
-}
-
+/// Run one population shard of the experiment (a wave task).
 // tft-lint: hot-root — per-probe HTTP experiment loop
-fn run_scoped(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> HttpDataset {
+pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> HttpDataset {
     let host = provision(world);
     let mut sampler = Sampler::new(
         &scope.counts,

@@ -10,7 +10,8 @@
 
 use crate::config::StudyConfig;
 use crate::crawl::Sampler;
-use crate::exec::ProbeScope;
+use crate::dns_exp::DnsExpOptions;
+use crate::exec::{self, ExpData, Experiment, ProbeScope};
 use crate::obs::{CertProbe, HttpsDataset, HttpsObservation, SiteClass};
 use crate::quality::{delivery_outcome, DataQuality, ProbeOutcome};
 use certs::{exact_match, verify_chain};
@@ -105,18 +106,22 @@ fn probe_ok(world: &World, probe: &CertProbe) -> bool {
 }
 
 /// Run the experiment.
+///
+/// A direct run is a one-experiment wave (see [`crate::exec`]) and returns
+/// exactly the study stage's dataset. Probe names carry the shard tag
+/// (`s{k}-…`), and events still pending when a shard ends (refetches
+/// scheduled past its last probe) are dropped with the shard world.
 pub fn run(world: &mut World, cfg: &StudyConfig) -> HttpsDataset {
-    let scope = ProbeScope::full(world);
-    run_scoped(world, cfg, scope)
+    let dns_opts = DnsExpOptions::default();
+    let ExpData::Https(data) = exec::run_direct(world, cfg, Experiment::Https, dns_opts) else {
+        unreachable!("a HTTPS wave merges a HTTPS dataset");
+    };
+    data
 }
 
-/// Run one population shard (parallel executor entry point).
-pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> HttpsDataset {
-    run_scoped(world, cfg, scope)
-}
-
+/// Run one population shard of the experiment (a wave task).
 // tft-lint: hot-root — per-probe HTTPS experiment loop
-fn run_scoped(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> HttpsDataset {
+pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> HttpsDataset {
     let t0 = world.now().as_millis();
     let mut sampler = Sampler::new(
         &scope.counts,

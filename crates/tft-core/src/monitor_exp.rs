@@ -8,7 +8,8 @@
 
 use crate::config::StudyConfig;
 use crate::crawl::Sampler;
-use crate::exec::ProbeScope;
+use crate::dns_exp::DnsExpOptions;
+use crate::exec::{self, ExpData, Experiment, ProbeScope};
 use crate::obs::{MonitorDataset, MonitorObservation};
 use crate::quality::delivery_outcome;
 use httpwire::{Response, Uri};
@@ -24,18 +25,22 @@ const SEED_SALT: u64 = 0x303;
 const OWN_UA: &str = "Hola/1.108";
 
 /// Run the experiment: probe, then hold the observation window open.
+///
+/// A direct run is a one-experiment wave (see [`crate::exec`]) and returns
+/// exactly the study stage's dataset. Probe names carry the shard tag
+/// (`s{k}-…`), and events still pending when a shard ends (refetches
+/// scheduled past its last probe) are dropped with the shard world.
 pub fn run(world: &mut World, cfg: &StudyConfig) -> MonitorDataset {
-    let scope = ProbeScope::full(world);
-    run_scoped(world, cfg, scope)
+    let dns_opts = DnsExpOptions::default();
+    let ExpData::Monitor(data) = exec::run_direct(world, cfg, Experiment::Monitor, dns_opts) else {
+        unreachable!("a monitor wave merges a monitor dataset");
+    };
+    data
 }
 
-/// Run one population shard (parallel executor entry point).
-pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> MonitorDataset {
-    run_scoped(world, cfg, scope)
-}
-
+/// Run one population shard of the experiment (a wave task).
 // tft-lint: hot-root — per-probe monitor experiment loop
-fn run_scoped(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> MonitorDataset {
+pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> MonitorDataset {
     let mut sampler = Sampler::new(
         &scope.counts,
         scope.rng(world.now().as_millis(), SEED_SALT),

@@ -1,6 +1,8 @@
 //! Study orchestration: [`StudyDriver`] runs all four experiments on a
 //! world and analyzes the results. It is the only orchestrator —
-//! [`run_study_with`] is a driver run to completion.
+//! [`run_study_with`] is a driver run to completion, and a direct
+//! experiment run ([`crate::dns_exp::run`] and the like) is a driver that
+//! runs one experiment wave.
 //!
 //! Experiment stages execute as sharded, supervised waves on
 //! [`substrate::pool`] worker threads (see [`crate::exec`]): each
@@ -16,6 +18,7 @@
 
 use crate::analysis;
 use crate::config::StudyConfig;
+use crate::dns_exp::DnsExpOptions;
 use crate::exec::{self, ExecOptions, ExpData, Experiment};
 use crate::obs::{DnsDataset, HttpDataset, HttpsDataset, MonitorDataset};
 use inetdb::{Asn, CountryCode};
@@ -198,6 +201,10 @@ pub struct StudyDriver {
     /// Supervision policy for every experiment wave; zero retries unless
     /// [`set_fault_policy`](StudyDriver::set_fault_policy) says otherwise.
     pub(crate) fault: FaultPolicy,
+    /// DNS methodology options for this driver's DNS shards. Only a direct
+    /// [`crate::dns_exp::run_with`] (an ablation) sets anything but the
+    /// default; a study never does, so checkpoints do not carry it.
+    pub(crate) dns_opts: DnsExpOptions,
 }
 
 impl StudyDriver {
@@ -222,6 +229,7 @@ impl StudyDriver {
             monitor_data: None,
             report: None,
             fault: FaultPolicy::default(),
+            dns_opts: DnsExpOptions::default(),
         }
     }
 

@@ -297,7 +297,12 @@ fn monitoring_was_discoverable_from_dns_experiment_logs() {
     built.world.run_to_quiescence();
     let scan = tft_core::analysis::monitor::discovery_scan(
         built.world.web_server().log().iter(),
-        |host| host.starts_with("d1-"),
+        |host| {
+            // Shard-tagged d1 names: `s{k}-d1-{i}.<apex>`.
+            host.strip_prefix('s')
+                .and_then(|h| h.split_once('-'))
+                .is_some_and(|(k, rest)| k.parse::<usize>().is_ok() && rest.starts_with("d1-"))
+        },
     );
     assert!(scan.probe_domains > 500);
     assert!(
