@@ -17,7 +17,7 @@
 use certs::{CertAuthority, Certificate, DistinguishedName, KeyId};
 use netsim::rng::RngExt;
 use netsim::{SimRng, SimTime};
-use substrate::legacy_fnv64;
+use substrate::fnv1a64;
 
 /// What the interceptor does with an originally *invalid* server
 /// certificate.
@@ -125,7 +125,7 @@ impl TlsInterceptor {
             Selectivity::PerSiteFraction(p) => {
                 let mut r = self
                     .decision_rng
-                    .fork_indexed("site", legacy_fnv64(hostname.as_bytes()));
+                    .fork_indexed("site", fnv1a64(hostname.as_bytes()));
                 r.random_bool(p)
             }
         }

@@ -18,7 +18,7 @@ use middlebox::RefetchOffset;
 use netsim::rng::RngExt;
 use netsim::{FaultInjector, FaultTarget, FaultVerdict, SimRng, SimTime, TraceCategory};
 use std::net::Ipv4Addr;
-use substrate::legacy_fnv64;
+use substrate::fnv1a64;
 
 /// Maximum exit-node attempts per request (Luminati retries up to five
 /// times, §2.3).
@@ -317,7 +317,7 @@ impl World {
             // goldens pinning it) is untouched.
             let mut rng = self.rng.fork_indexed(
                 &self.monitor_fork_labels[idx],
-                node_id.0 as u64 ^ legacy_fnv64(host.as_bytes()),
+                node_id.0 as u64 ^ fnv1a64(host.as_bytes()),
             );
             let plan = entity.plan(&mut rng);
             let ua = entity.user_agent.clone();

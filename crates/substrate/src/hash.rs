@@ -16,14 +16,13 @@ use crate::rng::mix64;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-/// [`legacy_fnv64`]'s multiplier: one hex digit longer than [`FNV_PRIME`].
-const LEGACY_PRIME: u64 = 0x0000_1000_0000_01b3;
 
-/// The FNV-1a round — xor in a byte, multiply by `prime` — over `bytes`.
-fn fnv_fold(state: u64, bytes: &[u8], prime: u64) -> u64 {
+/// The FNV-1a round — xor in a byte, multiply by the FNV prime — over
+/// `bytes`.
+fn fnv_fold(state: u64, bytes: &[u8]) -> u64 {
     bytes
         .iter()
-        .fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(prime))
+        .fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 /// Hash `bytes` to a stable 64-bit value.
@@ -37,20 +36,10 @@ pub fn stable64(bytes: &[u8]) -> u64 {
 
 /// Plain 64-bit FNV-1a of `bytes`, without [`stable64`]'s avalanche
 /// finish: the raw state [`Hasher64`] accumulates. Use it where a plain
-/// FNV-1a value is wanted (e.g. an archived report digest); prefer
-/// [`stable64`] for new keys.
+/// FNV-1a value is wanted (an archived report digest, an RNG fork index,
+/// a grouping key); prefer [`stable64`] for new keys.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv_fold(FNV_OFFSET, bytes, FNV_PRIME)
-}
-
-/// FNV-1a's structure with the multiplier `0x1000_0000_01b3` instead of
-/// the FNV-64 prime `0x100_0000_01b3` — **not** [`fnv1a64`]. Simulated
-/// randomness is pinned to it (monitor refetch and TLS interception RNG
-/// fork indices) along with the DNS analysis's hijack-script family keys,
-/// so switching those callers to [`fnv1a64`] changes study output. Use
-/// [`stable64`] or [`fnv1a64`] for anything new.
-pub fn legacy_fnv64(bytes: &[u8]) -> u64 {
-    fnv_fold(FNV_OFFSET, bytes, LEGACY_PRIME)
+    fnv_fold(FNV_OFFSET, bytes)
 }
 
 /// Incremental form of [`stable64`]: feed bytes in any segmentation, the
@@ -68,7 +57,7 @@ impl Hasher64 {
 
     /// Absorb `bytes`.
     pub fn update(&mut self, bytes: &[u8]) {
-        self.state = fnv_fold(self.state, bytes, FNV_PRIME);
+        self.state = fnv_fold(self.state, bytes);
     }
 
     /// Finish with the splitmix64 avalanche so short or similar inputs
@@ -115,13 +104,6 @@ mod tests {
         // The FNV-1a reference value for the empty input is its offset basis.
         assert_eq!(fnv1a64(b""), FNV_OFFSET);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
-    fn legacy_fnv64_is_pinned_and_distinct() {
-        assert_eq!(legacy_fnv64(b""), FNV_OFFSET);
-        assert_eq!(legacy_fnv64(b"a"), 0xaf74_d84c_8601_ec8c);
-        assert_ne!(legacy_fnv64(b"a"), fnv1a64(b"a"));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use middlebox::{extract_urls, url_domain};
 use proxynet::World;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
-use substrate::legacy_fnv64;
+use substrate::fnv1a64;
 
 /// One Table 3 row.
 #[derive(Debug, Clone, PartialEq)]
@@ -439,7 +439,7 @@ pub fn analyze(data: &DnsDataset, world: &World, cfg: &StudyConfig) -> DnsAnalys
             .map(|o| o.name.clone())
             .unwrap_or_else(|| "unknown".into());
         let agg = js_families
-            .entry(legacy_fnv64(normalized.as_bytes()))
+            .entry(fnv1a64(normalized.as_bytes()))
             .or_insert(JsFamilyAgg {
                 isps: BTreeSet::new(),
                 nodes: 0,
